@@ -259,6 +259,7 @@ impl<'a> Job<SearchCtx<'a>, GoalKey> for ExploreGroupJob {
                 gid,
                 eid,
                 spawned_children: false,
+                xforms_spawned: false,
             }));
         }
         StepResult::Suspended
@@ -274,6 +275,7 @@ struct ExploreExprJob {
     gid: GroupId,
     eid: ExprId,
     spawned_children: bool,
+    xforms_spawned: bool,
 }
 
 impl<'a> Job<SearchCtx<'a>, GoalKey> for ExploreExprJob {
@@ -297,7 +299,14 @@ impl<'a> Job<SearchCtx<'a>, GoalKey> for ExploreExprJob {
             }
             return StepResult::Suspended;
         }
-        spawn_xforms(h, ctx, self.gid, self.eid, true);
+        // Wait for the xforms too: the scheduler does not hold a finished
+        // job's own children, so returning `Done` here would let the group
+        // count as explored while its rewrites are still queued.
+        if !self.xforms_spawned {
+            self.xforms_spawned = true;
+            spawn_xforms(h, ctx, self.gid, self.eid, true);
+            return StepResult::Suspended;
+        }
         StepResult::Done
     }
 }
@@ -408,6 +417,7 @@ impl<'a> Job<SearchCtx<'a>, GoalKey> for ImplementGroupJob {
                 gid,
                 eid,
                 spawned_children: false,
+                xforms_spawned: false,
             }));
         }
         StepResult::Suspended
@@ -418,6 +428,7 @@ struct ImplementExprJob {
     gid: GroupId,
     eid: ExprId,
     spawned_children: bool,
+    xforms_spawned: bool,
 }
 
 impl<'a> Job<SearchCtx<'a>, GoalKey> for ImplementExprJob {
@@ -439,7 +450,11 @@ impl<'a> Job<SearchCtx<'a>, GoalKey> for ImplementExprJob {
             }
             return StepResult::Suspended;
         }
-        spawn_xforms(h, ctx, self.gid, self.eid, false);
+        if !self.xforms_spawned {
+            self.xforms_spawned = true;
+            spawn_xforms(h, ctx, self.gid, self.eid, false);
+            return StepResult::Suspended;
+        }
         StepResult::Done
     }
 }

@@ -13,8 +13,16 @@
 //!   boundary); and
 //! * dropping or [`Cursor::close`]-ing the cursor cancels the plan
 //!   mid-flight via the shared [`AbortSignal`] — the kernel checks it at
-//!   every operator boundary, and the producer's send loop polls it
-//!   whenever the channel is full.
+//!   every operator boundary and the producer checks it before every
+//!   send.
+//!
+//! The hand-off blocks rather than polls: a producer that finds the
+//! channel full parks in `SyncSender::send` until the consumer takes a
+//! batch, which is the backpressure. Teardown therefore raises the abort
+//! and then drains the receiver *before* joining: each receive frees a
+//! slot, the parked producer wakes, fails its next abort check and hangs
+//! up. Joining first would deadlock on a producer parked on a full
+//! channel.
 //!
 //! Batches, rows, the final simulated time, and every [`ExecStats`]
 //! counter are identical to the buffering path — the cursor streams the
@@ -27,17 +35,12 @@ use orca_common::{ColId, OrcaError, Result};
 use orca_expr::physical::PhysicalPlan;
 use orca_gpos::AbortSignal;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Batches buffered in the channel before the producer blocks.
 const CHANNEL_BATCHES: usize = 2;
-
-/// Abort poll period while the channel is full (the repo-wide ~10ms
-/// liveness tick, same as the spool and interconnect waits).
-const POLL: Duration = Duration::from_millis(10);
 
 /// Options for [`Cursor::open`].
 #[derive(Default)]
@@ -167,7 +170,9 @@ impl Cursor {
     pub fn close(&mut self) {
         if !self.done {
             self.abort.abort();
-            // Drain so a producer blocked on a full channel unblocks.
+            // Drain until the producer hangs up: each receive frees a slot,
+            // so a producer parked on a full channel wakes and then fails
+            // its next abort check.
             while let Ok(msg) = self.rx.recv() {
                 if let Msg::Done(s) = msg {
                     self.summary = Some(*s);
@@ -203,13 +208,10 @@ impl Cursor {
 
 impl Drop for Cursor {
     fn drop(&mut self) {
-        // Cancel and reap the producer; the abort guarantees it exits at
-        // the next operator boundary or send attempt, and dropping `rx`
-        // after this function unblocks any in-flight send.
-        if !self.done {
-            self.abort.abort();
-        }
-        self.join();
+        // Abort, drain, then reap: `rx` is dropped only after this body
+        // returns, so joining before the drain would wait forever on a
+        // producer parked in a blocking send.
+        self.close();
     }
 }
 
@@ -348,24 +350,15 @@ impl Emitter<'_> {
     }
 }
 
-/// Bounded send that stays responsive to cancellation: poll the abort
-/// flag while the channel is full instead of blocking indefinitely.
+/// Bounded send: check the abort flag, then block until the consumer
+/// frees a slot. Teardown drains the channel after aborting, so a send
+/// parked here always wakes; the check on the next send then stops the
+/// producer.
 fn send(tx: &SyncSender<Msg>, abort: &AbortSignal, msg: Msg) -> Result<()> {
-    let mut msg = msg;
-    loop {
-        abort.check()?;
-        match tx.try_send(msg) {
-            Ok(()) => return Ok(()),
-            Err(TrySendError::Full(m)) => {
-                msg = m;
-                std::thread::sleep(POLL);
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                // Consumer dropped the cursor; treat as cancellation.
-                return Err(OrcaError::Aborted("cursor closed".into()));
-            }
-        }
-    }
+    abort.check()?;
+    // Disconnected: the consumer is gone; treat as cancellation.
+    tx.send(msg)
+        .map_err(|_| OrcaError::Aborted("cursor closed".into()))
 }
 
 #[cfg(test)]
@@ -482,6 +475,83 @@ mod tests {
         let _ = cursor.next_batch().unwrap().expect("first batch");
         cursor.close(); // joins the producer; must not hang
         assert!(cursor.next_batch().unwrap().is_none());
+    }
+
+    /// Yield for a few milliseconds after the first batch: long enough for
+    /// the producer to refill the channel and park on its next send. The
+    /// channel gives no way to observe the park, so this decides only
+    /// whether the parked case is exercised; the assertions hold on any
+    /// interleaving.
+    fn let_producer_park() {
+        let start = std::time::Instant::now();
+        while start.elapsed() < std::time::Duration::from_millis(3) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Early close wakes a producer parked on the full channel at once:
+    /// no wait on a poll tick between the abort and the join.
+    #[test]
+    fn early_close_is_prompt() {
+        let (db, t) = db();
+        let plan = gather_scan(&t);
+        let shared = Arc::new(db);
+        let mut took: Vec<std::time::Duration> = (0..20)
+            .map(|_| {
+                let mut cursor = Cursor::open(
+                    Arc::clone(&shared),
+                    &plan,
+                    &[ColId(0)],
+                    CursorOptions {
+                        batch_rows: 4, // 200 rows -> 50 batches
+                        ..CursorOptions::default()
+                    },
+                );
+                let _ = cursor.next_batch().unwrap().expect("first batch");
+                let_producer_park();
+                let start = std::time::Instant::now();
+                cursor.close();
+                start.elapsed()
+            })
+            .collect();
+        took.sort();
+        let median = took[took.len() / 2];
+        assert!(
+            median < std::time::Duration::from_millis(1),
+            "median close took {median:?}"
+        );
+    }
+
+    /// Dropping a cursor whose producer is parked on a full channel, with
+    /// nothing drained by the caller, returns and reaps the producer.
+    #[test]
+    fn drop_mid_stream_reaps_producer() {
+        let (db, t) = db();
+        let plan = gather_scan(&t);
+        let shared = Arc::new(db);
+        let mut cursor = Cursor::open(
+            Arc::clone(&shared),
+            &plan,
+            &[ColId(0)],
+            CursorOptions {
+                batch_rows: 1, // 200 batches: the producer must park
+                ..CursorOptions::default()
+            },
+        );
+        let _ = cursor.next_batch().unwrap().expect("first batch");
+        let_producer_park();
+        assert!(!cursor.producer_finished());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(cursor);
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("dropping a mid-stream cursor hung");
+        dropper.join().unwrap();
+        // The producer held the other reference to the database; it was
+        // joined, so only ours is left.
+        assert_eq!(Arc::strong_count(&shared), 1);
     }
 
     /// Preflight OOM surfaces from `next_batch` as a typed error.

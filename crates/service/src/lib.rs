@@ -283,6 +283,10 @@ struct Inflight {
     /// (degraded, fallback, or error) and followers proceed on their own.
     done: Mutex<Option<Option<PlanResponse>>>,
     cv: Condvar,
+    /// Followers attached so far, so a test can publish only once its
+    /// follower is registered.
+    #[cfg(test)]
+    waiters: AtomicU64,
 }
 
 /// RAII registration of the in-flight leader. Publishing a clean result
@@ -717,7 +721,11 @@ impl Service {
         let entry = {
             let mut map = self.inflight.lock().unwrap();
             match map.get(&fingerprint) {
-                Some(e) if e.md_ids == md_ids => Arc::clone(e),
+                Some(e) if e.md_ids == md_ids => {
+                    #[cfg(test)]
+                    e.waiters.fetch_add(1, Ordering::SeqCst);
+                    Arc::clone(e)
+                }
                 // Same shape against different catalog versions: neither
                 // reusable nor worth displacing — optimize solo.
                 Some(_) => return InflightJoin::Alone,
@@ -726,6 +734,8 @@ impl Service {
                         md_ids: md_ids.to_vec(),
                         done: Mutex::new(None),
                         cv: Condvar::new(),
+                        #[cfg(test)]
+                        waiters: AtomicU64::new(0),
                     });
                     map.insert(fingerprint, Arc::clone(&e));
                     return InflightJoin::Lead(InflightLease {
@@ -1202,6 +1212,11 @@ mod tests {
                 InflightJoin::Alone => panic!("identical request must coalesce"),
             })
         };
+        // Publishing unregisters the entry, so a follower that arrived
+        // after it would lead: publish only once the follower is attached.
+        while lease.entry.waiters.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
         lease.publish(&stub_response(42));
         let got = follower.join().unwrap();
         assert_eq!(got.plan_dxl, "plan");

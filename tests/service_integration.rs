@@ -283,7 +283,11 @@ fn queue_rejection_falls_back() {
             let s = svc2.open_session();
             svc2.submit_query(s, &big2, None).expect("big query")
         });
-        // Wait for the big optimization to occupy the slot, then submit.
+        // Wait for the big optimization to occupy the slot, then submit:
+        // a `small` that arrived first would take the only slot itself.
+        while svc.stats().admitted < 1 {
+            std::thread::yield_now();
+        }
         let session = svc.open_session();
         let mut saw_rejection = false;
         for _ in 0..200 {
