@@ -1,6 +1,6 @@
 //! `orca-bench` — the experiment harness for §7.
 //!
-//! One binary per figure (see DESIGN.md §3):
+//! One binary per figure (see DESIGN.md §3), plus the benchmark of record:
 //!
 //! | target                   | reproduces |
 //! |--------------------------|------------|
@@ -9,14 +9,13 @@
 //! | `fig14`                  | Figure 14 — HAWQ vs Stinger speed-up |
 //! | `fig15`                  | Figure 15 — per-engine query support counts |
 //! | `optstats`               | §7.2.2 — optimization time & memory footprint |
-//! | `parallel_scaling`       | §4.2 ablation — multi-core optimization speed-up |
 //! | `stages`                 | §4.1 ablation — multi-stage optimization |
 //! | `taqo`                   | §6.2 — cost-model accuracy score |
-//! | `service_bench`          | §3 serving layer — plan-cache economics & session sweep |
+//! | `e2e_bench`              | wall clock, SQL text → TCP service → last row frame, seven workloads (its own README) |
 //!
-//! All experiments run on the simulated cluster; reported times are
+//! The figure harnesses run on the simulated cluster; reported times are
 //! *simulated* seconds (deterministic), so shapes are reproducible on any
-//! machine.
+//! machine. `e2e_bench` is the only wall-clock benchmark.
 
 pub mod report;
 pub mod runner;

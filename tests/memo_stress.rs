@@ -5,16 +5,20 @@
 //! structure canonical under insert storms: identical expression topologies
 //! inserted from many threads land in one group, group ids stay dense and
 //! stable, and the dedup index always agrees with the directory
-//! (`Memo::check_integrity`).
+//! (`Memo::check_integrity`). End to end, the worker count of a full
+//! optimization must change its speed, never the plan it picks.
 
 use orca::engine::{Optimizer, OptimizerConfig, QueryReqs};
 use orca::memo::{GroupId, Memo, Operator};
 use orca_catalog::stats::ColumnStats;
 use orca_catalog::{ColumnMeta, Distribution, MdProvider, MemoryProvider, TableDesc, TableStats};
-use orca_common::{ColId, DataType, Datum, MdId, SysId};
+use orca_common::{ColId, DataType, Datum, MdId, SegmentConfig, SysId};
 use orca_expr::logical::{JoinKind, LogicalExpr, LogicalOp, TableRef};
+use orca_expr::pretty::explain_physical;
+use orca_expr::props::DistSpec;
 use orca_expr::scalar::ScalarExpr;
 use orca_expr::ColumnRegistry;
+use orca_tpcds::build_catalog;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -294,7 +298,7 @@ fn merge_purges_loser_scoped_selectivity_entries() {
 #[test]
 fn merge_heavy_optimization_cost_stable_across_workers() {
     // A 5-way star-with-tail join (s2/s3 hang off s1, s5 chains off s4 —
-    // the shape of the parallel_scaling bench query) explores equivalent
+    // a smaller form of the `seven_way_join` query below) explores equivalent
     // join orders whose associativity rewrites re-derive the same topology
     // in two homes, triggering §4.2 group merging with the estimation
     // caches already warm. The cached selectivities must
@@ -444,4 +448,93 @@ fn targeted_insert_storm_no_intra_group_duplicates() {
     }
     assert_no_duplicate_topologies(&memo);
     memo.check_integrity().expect("index/directory agreement");
+}
+
+/// The §4.2 scaling query: a 7-way join over the TPC-DS-style catalog,
+/// wide enough to feed several workers. `variant` shifts the date filter.
+fn seven_way_join(variant: usize) -> String {
+    format!(
+        "SELECT i.i_brand_id, d.d_moy, count(*) AS n, sum(cs.cs_net_profit) AS profit \
+         FROM catalog_sales cs, item i, date_dim d, promotion p, call_center cc, \
+              customer c, customer_address ca \
+         WHERE cs.cs_item_sk = i.i_item_sk \
+           AND cs.cs_sold_date_sk = d.d_date_sk \
+           AND cs.cs_promo_sk = p.p_promo_sk \
+           AND cs.cs_call_center_sk = cc.cc_call_center_sk \
+           AND cs.cs_bill_customer_sk = c.c_customer_sk \
+           AND c.c_current_addr_sk = ca.ca_address_sk \
+           AND d.d_date_sk > {} \
+         GROUP BY i.i_brand_id, d.d_moy ORDER BY profit DESC LIMIT 20",
+        variant * 10
+    )
+}
+
+#[test]
+fn seven_way_join_plan_identical_at_1_and_4_workers() {
+    // Parallel exploration with group merging must converge on the same
+    // memo as one worker: the same extracted plan, a bit-equal cost, and
+    // a job count within 10 % (the slack covers goal-dedup timing only).
+    // Branch-and-bound must fire, and the memoized selectivity and
+    // cardinality caches must absorb at least half of all probes.
+    let cluster = SegmentConfig::default().with_segments(16);
+    let (provider, _) = build_catalog(0.01, cluster.clone());
+    let mut baseline = Vec::new();
+    for workers in [1usize, 4] {
+        let optimizer = Optimizer::new(
+            provider.clone(),
+            OptimizerConfig::default()
+                .with_workers(workers)
+                .with_cluster(cluster.clone()),
+        );
+        let (mut pruned, mut sel_hits, mut sel_misses) = (0, 0, 0);
+        for variant in 0..3 {
+            let registry = Arc::new(ColumnRegistry::new());
+            let bound = orca_sql::compile(&seven_way_join(variant), provider.as_ref(), &registry)
+                .expect("binds");
+            let reqs = QueryReqs {
+                output_cols: bound.output_cols.clone(),
+                order: bound.order.clone(),
+                dist: DistSpec::Singleton,
+            };
+            let (plan, stats) = optimizer
+                .optimize(&bound.expr, &registry, &reqs)
+                .expect("plans");
+            pruned += stats.search.contexts_pruned;
+            sel_hits += stats.search.sel_cache_hits;
+            sel_misses += stats.search.sel_cache_misses;
+            if workers == 1 {
+                baseline.push((plan, stats.plan_cost, stats.jobs_spawned));
+                continue;
+            }
+            let (base_plan, base_cost, base_jobs) = &baseline[variant];
+            assert!(
+                plan == *base_plan,
+                "variant {variant}: {workers} workers changed the plan\n{}\nvs\n{}",
+                explain_physical(base_plan),
+                explain_physical(&plan)
+            );
+            assert_eq!(
+                stats.plan_cost.to_bits(),
+                base_cost.to_bits(),
+                "variant {variant}: plan cost {} vs {base_cost} at 1 worker",
+                stats.plan_cost
+            );
+            let drift = stats.jobs_spawned.abs_diff(*base_jobs) as f64 / *base_jobs as f64;
+            assert!(
+                drift <= 0.10,
+                "variant {variant}: {} jobs at {workers} workers vs {base_jobs} at 1",
+                stats.jobs_spawned
+            );
+        }
+        assert!(
+            pruned > 0,
+            "branch-and-bound never fired at {workers} workers"
+        );
+        let hit_rate = sel_hits as f64 / (sel_hits + sel_misses) as f64;
+        assert!(
+            hit_rate >= 0.5,
+            "sel-cache hit rate {hit_rate:.3} at {workers} workers \
+             ({sel_hits} hits, {sel_misses} misses)"
+        );
+    }
 }

@@ -1,16 +1,17 @@
 //! Integration tests of the serving layer (`orca-service`): deadline
 //! semantics of the underlying `optimize_with_deadline`, end-to-end plan
 //! cache invalidation via `bump_table_version`, the degradation ladder,
-//! and a concurrent submit-while-bumping hammer.
+//! a concurrent submit-while-bumping hammer, and byte identity of cached
+//! plans with fresh optimizations over a suite corpus.
 
 use orca::engine::{Optimizer, OptimizerConfig, QueryReqs};
 use orca_catalog::provider::MdProvider;
 use orca_common::{OrcaError, SegmentConfig};
-use orca_dxl::DxlQuery;
+use orca_dxl::{plan_to_dxl, query_to_dxl, DxlPlan, DxlQuery};
 use orca_expr::props::DistSpec;
 use orca_expr::ColumnRegistry;
 use orca_service::{PlanSource, Service, ServiceConfig};
-use orca_tpcds::build_catalog;
+use orca_tpcds::{build_catalog, suite};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -326,5 +327,62 @@ fn optimizer_timeout_error_is_not_aborted() {
             assert!(matches!(e, OrcaError::Timeout(_)), "{e}");
             assert_eq!(e.kind(), "timeout");
         }
+    }
+}
+
+/// Determinism is what makes plan caching sound: over a 12-query suite
+/// corpus served through the DXL entry point, every cached plan is
+/// byte-identical to an independent fresh optimization, repeats are served
+/// from the cache, and nothing degrades without contention.
+#[test]
+fn cached_suite_plans_match_fresh_optimization() {
+    const CORPUS: usize = 12;
+    const REPEATS: usize = 20;
+    let provider = tpcds_env();
+    let config = OptimizerConfig::default().with_workers(2);
+    let corpus: Vec<(String, DxlQuery)> = suite()
+        .into_iter()
+        .take(CORPUS)
+        .map(|q| (q.id, compile_query(&provider, &q.sql).0))
+        .collect();
+    let svc = Service::new(
+        provider.clone(),
+        ServiceConfig {
+            optimizer: config.clone(),
+            ..ServiceConfig::default()
+        },
+    );
+    let session = svc.open_session();
+    let texts: Vec<String> = corpus.iter().map(|(_, q)| query_to_dxl(q)).collect();
+    let cached: Vec<String> = texts
+        .iter()
+        .map(|dxl| {
+            let t = svc.submit(session, dxl).expect("cold submit");
+            assert_eq!(t.response.source, PlanSource::Fresh);
+            t.response.plan_dxl
+        })
+        .collect();
+    for _ in 0..REPEATS {
+        for (dxl, plan) in texts.iter().zip(&cached) {
+            let t = svc.submit(session, dxl).expect("repeat submit");
+            assert_eq!(t.response.source, PlanSource::Cache);
+            assert_eq!(&t.response.plan_dxl, plan);
+        }
+    }
+    let stats = svc.stats();
+    let hit_rate = stats.cache_hits as f64 / (stats.cache_hits + stats.cache_misses) as f64;
+    assert!(hit_rate >= 0.9, "repeat hit rate {hit_rate:.3}: {stats:?}");
+    assert_eq!(stats.degraded, 0, "{stats:?}");
+
+    let fresh_optimizer = Optimizer::new(provider, config);
+    for ((id, q), plan) in corpus.iter().zip(&cached) {
+        let (fresh, opt) = fresh_optimizer
+            .optimize_query(q)
+            .expect("fresh optimization");
+        let fresh = plan_to_dxl(&DxlPlan {
+            plan: fresh,
+            cost: opt.plan_cost,
+        });
+        assert_eq!(&fresh, plan, "{id}: cached DXL differs from a fresh plan");
     }
 }
