@@ -10,8 +10,9 @@
 //! `steal_batch_and_pop` moving half the injector backlog to the local
 //! queue) are preserved so the scheduler code runs unchanged. Likewise
 //! the channels move row *batches*, so a Mutex+Condvar ring is far from
-//! the bottleneck; blocking, timeout, and disconnect semantics match
-//! `crossbeam-channel` where callers depend on them.
+//! the bottleneck. Only untimed blocking `send`/`recv` exist, with
+//! `crossbeam-channel`'s disconnect semantics, plus a `Closer` that
+//! disconnects a channel on demand (how an abort wakes a blocked end).
 
 pub mod deque {
     use std::collections::VecDeque;
@@ -131,54 +132,49 @@ pub mod deque {
 }
 
 pub mod channel {
-    //! Bounded MPMC channels, mirroring the `crossbeam-channel` API subset
-    //! the interconnect uses: blocking `send`/`recv`, the `_timeout`
-    //! variants, capacity introspection (`len`), and disconnection when
-    //! the last peer on the other side drops. A zero-capacity request is
-    //! rounded up to one slot (the shim has no rendezvous mode; the
-    //! interconnect always wants at least one in-flight batch).
+    //! Bounded channels with one sender and one receiver each, mirroring
+    //! the `crossbeam-channel` API subset the interconnect uses: blocking
+    //! `send`/`recv`, queue depth (`len`), and disconnection when the
+    //! other side drops. A [`Closer`] disconnects a channel on demand,
+    //! which is how an abort wakes a thread blocked on one. A
+    //! zero-capacity request is rounded up to one slot (the shim has no
+    //! rendezvous mode; the interconnect always wants at least one
+    //! in-flight batch).
 
     use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
-    use std::time::{Duration, Instant};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct SendError<T>(pub T);
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum SendTimeoutError<T> {
-        Timeout(T),
-        Disconnected(T),
-    }
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RecvError;
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        Timeout,
-        Disconnected,
-    }
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        Empty,
-        Disconnected,
-    }
 
     struct State<T> {
         buf: VecDeque<T>,
-        senders: usize,
-        receivers: usize,
+        /// Either side dropped, or a [`Closer`] fired.
+        closed: bool,
     }
 
     struct Inner<T> {
         cap: usize,
         state: Mutex<State<T>>,
-        /// Signalled when a slot frees up or the receiving side vanishes.
+        /// Signalled when a slot frees up or the channel closes.
         not_full: Condvar,
-        /// Signalled when a message arrives or the sending side vanishes.
+        /// Signalled when a message arrives or the channel closes.
         not_empty: Condvar,
+    }
+
+    impl<T> Inner<T> {
+        fn lock(&self) -> MutexGuard<'_, State<T>> {
+            self.state.lock().unwrap_or_else(|e| e.into_inner())
+        }
+
+        fn close(&self) {
+            self.lock().closed = true;
+            self.not_full.notify_all();
+            self.not_empty.notify_all();
+        }
     }
 
     /// Create a bounded channel with room for `cap` in-flight messages.
@@ -187,8 +183,7 @@ pub mod channel {
             cap: cap.max(1),
             state: Mutex::new(State {
                 buf: VecDeque::new(),
-                senders: 1,
-                receivers: 1,
+                closed: false,
             }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
@@ -209,36 +204,27 @@ pub mod channel {
         inner: Arc<Inner<T>>,
     }
 
-    fn lock<T, R>(inner: &Inner<T>, f: impl FnOnce(&mut State<T>) -> R) -> R {
-        f(&mut inner.state.lock().unwrap_or_else(|e| e.into_inner()))
+    /// Disconnects a channel without being one of its ends.
+    pub struct Closer<T> {
+        inner: Arc<Inner<T>>,
+    }
+
+    impl<T> Closer<T> {
+        /// Close the channel as if both ends had dropped: every blocked
+        /// and later `send` fails, and `recv` fails once the buffer is
+        /// drained.
+        pub fn close(&self) {
+            self.inner.close();
+        }
     }
 
     impl<T> Sender<T> {
-        /// Block until the message is enqueued or every receiver is gone.
+        /// Block until the message is enqueued or the channel closes.
         pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            match self.send_deadline(msg, None) {
-                Ok(()) => Ok(()),
-                Err(SendTimeoutError::Disconnected(m)) | Err(SendTimeoutError::Timeout(m)) => {
-                    Err(SendError(m))
-                }
-            }
-        }
-
-        /// Block up to `timeout`; `Timeout(msg)` hands the message back so
-        /// the caller can re-check its abort signal and retry.
-        pub fn send_timeout(&self, msg: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-            self.send_deadline(msg, Some(Instant::now() + timeout))
-        }
-
-        fn send_deadline(
-            &self,
-            msg: T,
-            deadline: Option<Instant>,
-        ) -> Result<(), SendTimeoutError<T>> {
-            let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut state = self.inner.lock();
             loop {
-                if state.receivers == 0 {
-                    return Err(SendTimeoutError::Disconnected(msg));
+                if state.closed {
+                    return Err(SendError(msg));
                 }
                 if state.buf.len() < self.inner.cap {
                     state.buf.push_back(msg);
@@ -246,30 +232,17 @@ pub mod channel {
                     self.inner.not_empty.notify_one();
                     return Ok(());
                 }
-                state = match deadline {
-                    None => self
-                        .inner
-                        .not_full
-                        .wait(state)
-                        .unwrap_or_else(|e| e.into_inner()),
-                    Some(d) => {
-                        let now = Instant::now();
-                        if now >= d {
-                            return Err(SendTimeoutError::Timeout(msg));
-                        }
-                        self.inner
-                            .not_full
-                            .wait_timeout(state, d - now)
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0
-                    }
-                };
+                state = self
+                    .inner
+                    .not_full
+                    .wait(state)
+                    .unwrap_or_else(|e| e.into_inner());
             }
         }
 
         /// Messages currently queued (racy; for observability only).
         pub fn len(&self) -> usize {
-            lock(&self.inner, |s| s.buf.len())
+            self.inner.lock().buf.len()
         }
 
         pub fn is_empty(&self) -> bool {
@@ -277,97 +250,37 @@ pub mod channel {
         }
     }
 
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Sender<T> {
-            lock(&self.inner, |s| s.senders += 1);
-            Sender {
-                inner: self.inner.clone(),
-            }
-        }
-    }
-
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
-            let last = lock(&self.inner, |s| {
-                s.senders -= 1;
-                s.senders == 0
-            });
-            if last {
-                self.inner.not_empty.notify_all();
-            }
+            self.inner.close();
         }
     }
 
     impl<T> Receiver<T> {
-        /// Block until a message arrives or every sender is gone.
+        /// Block until a message arrives; fails once the channel is closed
+        /// and drained.
         pub fn recv(&self) -> Result<T, RecvError> {
-            match self.recv_deadline(None) {
-                Ok(m) => Ok(m),
-                Err(_) => Err(RecvError),
-            }
-        }
-
-        /// Block up to `timeout`; `Timeout` lets the caller re-check its
-        /// abort signal between waits.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            self.recv_deadline(Some(Instant::now() + timeout))
-        }
-
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            lock(&self.inner, |s| match s.buf.pop_front() {
-                Some(m) => Ok(m),
-                None if s.senders == 0 => Err(TryRecvError::Disconnected),
-                None => Err(TryRecvError::Empty),
-            })
-            .inspect(|_| self.inner.not_full.notify_one())
-        }
-
-        fn recv_deadline(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
-            let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut state = self.inner.lock();
             loop {
                 if let Some(m) = state.buf.pop_front() {
                     drop(state);
                     self.inner.not_full.notify_one();
                     return Ok(m);
                 }
-                if state.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
+                if state.closed {
+                    return Err(RecvError);
                 }
-                state = match deadline {
-                    None => self
-                        .inner
-                        .not_empty
-                        .wait(state)
-                        .unwrap_or_else(|e| e.into_inner()),
-                    Some(d) => {
-                        let now = Instant::now();
-                        if now >= d {
-                            return Err(RecvTimeoutError::Timeout);
-                        }
-                        self.inner
-                            .not_empty
-                            .wait_timeout(state, d - now)
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0
-                    }
-                };
+                state = self
+                    .inner
+                    .not_empty
+                    .wait(state)
+                    .unwrap_or_else(|e| e.into_inner());
             }
         }
 
-        /// Messages currently queued (racy; for observability only).
-        pub fn len(&self) -> usize {
-            lock(&self.inner, |s| s.buf.len())
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Receiver<T> {
-            lock(&self.inner, |s| s.receivers += 1);
-            Receiver {
+        /// A handle that can close this channel from any thread.
+        pub fn closer(&self) -> Closer<T> {
+            Closer {
                 inner: self.inner.clone(),
             }
         }
@@ -375,20 +288,14 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            let last = lock(&self.inner, |s| {
-                s.receivers -= 1;
-                s.receivers == 0
-            });
-            if last {
-                self.inner.not_full.notify_all();
-            }
+            self.inner.close();
         }
     }
 }
 
 #[cfg(test)]
 mod channel_tests {
-    use super::channel::{bounded, RecvTimeoutError, SendTimeoutError};
+    use super::channel::bounded;
     use std::time::Duration;
 
     #[test]
@@ -396,24 +303,17 @@ mod channel_tests {
         let (tx, rx) = bounded(4);
         tx.send(1).unwrap();
         tx.send(2).unwrap();
-        assert_eq!(rx.len(), 2);
+        assert_eq!(tx.len(), 2);
         assert_eq!(rx.recv(), Ok(1));
         assert_eq!(rx.recv(), Ok(2));
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(1)),
-            Err(RecvTimeoutError::Timeout)
-        );
+        assert!(tx.is_empty());
     }
 
     #[test]
     fn backpressure_blocks_and_drains() {
         let (tx, rx) = bounded(1);
         tx.send(0u32).unwrap();
-        // Full: send_timeout hands the message back.
-        assert_eq!(
-            tx.send_timeout(1, Duration::from_millis(5)),
-            Err(SendTimeoutError::Timeout(1))
-        );
+        assert_eq!(tx.len(), 1); // full: the next send blocks
         let h = std::thread::spawn(move || {
             for i in 1..100u32 {
                 tx.send(i).unwrap();
@@ -433,10 +333,7 @@ mod channel_tests {
         tx.send(7).unwrap();
         drop(tx);
         assert_eq!(rx.recv(), Ok(7)); // buffered survives sender drop
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(1)),
-            Err(RecvTimeoutError::Disconnected)
-        );
+        assert!(rx.recv().is_err());
         let (tx2, rx2) = bounded(1);
         drop(rx2);
         assert!(tx2.send(1).is_err());
@@ -451,6 +348,29 @@ mod channel_tests {
         drop(rx);
         // The blocked send must observe the disconnect and error out.
         assert!(h.join().unwrap());
+    }
+
+    #[test]
+    fn close_wakes_both_sides_while_the_peers_live() {
+        // A sender parked on a full channel.
+        let (tx, rx) = bounded(1);
+        tx.send(0u32).unwrap();
+        let closer = rx.closer();
+        let h = std::thread::spawn(move || tx.send(1).is_err());
+        std::thread::sleep(Duration::from_millis(10));
+        closer.close();
+        assert!(h.join().unwrap());
+        assert_eq!(rx.recv(), Ok(0)); // the buffer still drains
+        assert!(rx.recv().is_err());
+
+        // A receiver parked on an empty channel.
+        let (tx, rx) = bounded::<u32>(1);
+        let closer = rx.closer();
+        let h = std::thread::spawn(move || rx.recv().is_err());
+        std::thread::sleep(Duration::from_millis(10));
+        closer.close();
+        assert!(h.join().unwrap());
+        drop(tx);
     }
 }
 

@@ -1387,23 +1387,6 @@ impl ColStream {
             .sum()
     }
 
-    /// All distinct-copy rows (one copy for replicated streams).
-    pub fn gathered_rows(&self) -> Vec<Row> {
-        let mut out = Vec::new();
-        if self.replicated {
-            for b in &self.per_seg[0] {
-                b.to_rows(&mut out);
-            }
-            return out;
-        }
-        for seg in &self.per_seg {
-            for b in seg {
-                b.to_rows(&mut out);
-            }
-        }
-        out
-    }
-
     pub fn from_streamset(ss: &StreamSet, batch_size: usize) -> ColStream {
         let batch_size = batch_size.max(1);
         let width = ss.layout.len();

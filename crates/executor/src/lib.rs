@@ -61,3 +61,36 @@ pub use net::{ClusterTopology, NetConfig, NetNode, NetStats};
 pub use parallel::{ParallelConfig, ParallelEngine, ParallelStats};
 pub use sharing::{FragmentCache, FragmentCacheStats, FragmentKey};
 pub use storage::{Database, Row};
+
+#[cfg(test)]
+pub(crate) mod test_util {
+    use orca_common::Result;
+    use orca_gpos::AbortSignal;
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
+    use std::time::{Duration, Instant};
+
+    /// Median time from `abort()` to a blocked wait returning, over 20
+    /// cycles. `park` starts a thread that registers its wait's abort
+    /// waker and blocks in the wait; it must come back "aborted".
+    pub(crate) fn median_abort_latency<T: std::fmt::Debug + Send + 'static>(
+        mut park: impl FnMut(Arc<AbortSignal>) -> JoinHandle<Result<T>>,
+    ) -> Duration {
+        let mut samples: Vec<Duration> = (0..20)
+            .map(|_| {
+                let abort = Arc::new(AbortSignal::new());
+                let waiter = park(Arc::clone(&abort));
+                // Let the waiter reach its blocking call.
+                std::thread::sleep(Duration::from_millis(3));
+                let t0 = Instant::now();
+                abort.abort();
+                let err = waiter.join().unwrap().unwrap_err();
+                let took = t0.elapsed();
+                assert_eq!(err.kind(), "aborted", "{err}");
+                took
+            })
+            .collect();
+        samples.sort();
+        samples[samples.len() / 2]
+    }
+}

@@ -10,8 +10,9 @@
 //! per edge — the same backpressure window as the in-process bounded
 //! channels. Aborts, deadlines, and typed failures cross in either
 //! direction as `Abort` control frames; a dead peer surfaces as EOF on
-//! the next read and becomes a typed [`OrcaError::Net`] within one poll
-//! interval — never a hang.
+//! the next read and becomes a typed [`OrcaError::Net`] — never a hang.
+//! A receive blocks until a frame, a peer failure or its run's abort
+//! wakes it, and at most until the query deadline.
 
 use super::frame::{
     decode_abort, decode_credit, decode_handshake, decode_msg, encode_abort, encode_ack,
@@ -21,14 +22,15 @@ use super::frame::{
 use super::{NetConfig, NetMotionCounters, NetShared};
 use crate::parallel::interconnect::Msg;
 use orca_common::{OrcaError, Result};
-use orca_gpos::AbortSignal;
+use orca_gpos::{wait_until, AbortSignal};
 use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Abort-checking poll interval; mirrors the in-process interconnect.
+/// Socket read/write timeout: a parked socket call wakes on data at
+/// once, else after this long to re-check shutdown and its abort signal.
 const POLL: Duration = Duration::from_millis(10);
 
 fn net_err(what: &str, e: std::io::Error) -> OrcaError {
@@ -88,13 +90,14 @@ pub struct NetReceiver {
 
 impl NetReceiver {
     /// Pop the next delivered message, returning one flow-control credit
-    /// to the sender per consumed batch. Blocks in abort-checking poll
-    /// slices; a peer failure surfaces as the typed error the reader
-    /// thread recorded.
+    /// to the sender per consumed batch. Blocks until a message, a peer
+    /// failure (the typed error the reader thread recorded) or the abort
+    /// [`NetReceiver::waker`] wakes it, and at most until the deadline.
     pub fn recv(&self, abort: &AbortSignal) -> Result<Msg> {
         loop {
-            {
-                let mut st = self.shared.state.lock().unwrap();
+            abort.check()?;
+            let mut st = self.shared.state.lock().unwrap();
+            while !abort.is_tripped() {
                 if let Some(msg) = st.items.pop_front() {
                     drop(st);
                     if matches!(msg, Msg::Batch(_)) {
@@ -105,9 +108,22 @@ impl NetReceiver {
                 if let Some(e) = st.err.clone() {
                     return Err(e);
                 }
-                let _ = self.shared.ready.wait_timeout(st, POLL).unwrap();
+                match wait_until(&self.shared.ready, st, abort.deadline()) {
+                    Ok(guard) => st = guard,
+                    // Past the deadline: `check` above trips the signal.
+                    Err(_) => break,
+                }
             }
-            abort.check()?;
+        }
+    }
+
+    /// Wakes a `recv` blocked on this edge; register it with the run's
+    /// abort signal.
+    pub fn waker(&self) -> impl FnOnce() + Send + 'static {
+        let shared = Arc::clone(&self.shared);
+        move || {
+            drop(shared.state.lock());
+            shared.ready.notify_all();
         }
     }
 
@@ -139,13 +155,6 @@ impl NetReceiver {
                 .fetch_add(buf.len() as u64, Ordering::Relaxed);
         }
         Ok(())
-    }
-
-    /// Best-effort typed-error hint to the sending peer (control frame).
-    pub fn abort_hint(&self, err: &OrcaError) {
-        if let Some(sock) = self.shared.credit_sock.lock().unwrap().as_mut() {
-            let _ = write_all_abort(sock, &encode_abort(err), &AbortSignal::new());
-        }
     }
 }
 
@@ -191,9 +200,6 @@ impl NetServer {
         let local_addr = listener
             .local_addr()
             .map_err(|e| net_err("local addr", e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| net_err("nonblocking", e))?;
         let inner = Arc::new(ServerInner {
             registry: Mutex::new(HashMap::new()),
             registered: Condvar::new(),
@@ -274,7 +280,13 @@ impl NetServer {
     /// Stop accepting and wind down reader threads (graceful drain:
     /// in-flight queries keep their established connections).
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        if self.inner.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // Wake connections parked in the rendezvous, then the acceptor.
+        drop(self.inner.registry.lock());
+        self.inner.registered.notify_all();
+        wake_accept(self.local_addr);
     }
 }
 
@@ -284,24 +296,32 @@ impl Drop for NetServer {
     }
 }
 
+/// Wake a thread blocked in `accept` on `addr` by connecting to it once.
+/// The accept loop sees its shutdown flag and drops the connection.
+pub fn wake_accept(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+}
+
 fn accept_loop(listener: TcpListener, inner: Arc<ServerInner>) {
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((sock, _)) => {
-                let conn_inner = Arc::clone(&inner);
-                let _ = std::thread::Builder::new()
-                    .name("orca-net-conn".into())
-                    .spawn(move || {
-                        let _ = serve_conn(sock, conn_inner);
-                    });
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(POLL);
-            }
-            Err(_) => std::thread::sleep(POLL),
+    // An accept error (a client that reset before accept, descriptors
+    // running out) is retried; only shutdown ends the loop.
+    for sock in listener.incoming() {
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        if let Ok(sock) = sock {
+            let conn_inner = Arc::clone(&inner);
+            let _ = std::thread::Builder::new()
+                .name("orca-net-conn".into())
+                .spawn(move || {
+                    let _ = serve_conn(sock, conn_inner);
+                });
         }
     }
 }
@@ -334,20 +354,19 @@ fn serve_conn(sock: TcpStream, inner: Arc<ServerInner>) -> Result<()> {
     }
     let key = decode_handshake(&payload)?;
 
-    // Rendezvous: wait (bounded) for the local run to register the edge.
+    // Rendezvous: wait for the local run to register the edge, at most
+    // until the handshake deadline; `expect` and `shutdown` notify.
     let endpoint: Arc<RecvShared> = {
         let mut registry = inner.registry.lock().unwrap();
         loop {
             if let Some(e) = registry.remove(&key) {
                 break e;
             }
-            if Instant::now() > deadline || inner.shutdown.load(Ordering::SeqCst) {
-                return Err(OrcaError::Net(format!(
-                    "no local endpoint registered for {key:?}"
-                )));
+            if inner.shutdown.load(Ordering::SeqCst) {
+                return Err(OrcaError::Net("server shut down".into()));
             }
-            let (guard, _) = inner.registered.wait_timeout(registry, POLL).unwrap();
-            registry = guard;
+            registry = wait_until(&inner.registered, registry, Some(deadline))
+                .map_err(|_| OrcaError::Net(format!("no local endpoint registered for {key:?}")))?;
         }
     };
 
@@ -574,18 +593,39 @@ impl NetSender {
         Ok(())
     }
 
-    /// Best-effort typed-error hint to the receiving peer.
-    pub fn abort_hint(&self, err: &OrcaError) {
-        if let Ok(mut g) = self.inner.lock() {
-            let _ = write_all_abort(&mut g.sock, &encode_abort(err), &AbortSignal::new());
-        }
-    }
-
     /// Register this outbound connection with the local server so
     /// query-wide abort broadcasts reach the peer on the other end.
     pub fn register(&self, server: &NetServer, query: u64) {
         if let Ok(g) = self.inner.lock() {
             server.track_conn(query, &g.sock);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A receiver registered with `expect` that never sees traffic
+    /// returns within a millisecond of the abort.
+    #[test]
+    fn abort_wakes_an_idle_net_receiver() {
+        let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+        let mut query = 0;
+        let median = crate::test_util::median_abort_latency(|abort| {
+            query += 1;
+            let key = EndpointKey {
+                query,
+                motion: 0,
+                sender: 0,
+                receiver: 0,
+            };
+            let rx = server.expect(key, Arc::default(), Arc::default());
+            std::thread::spawn(move || {
+                let _wake = abort.on_abort(rx.waker());
+                rx.recv(&abort)
+            })
+        });
+        assert!(median < Duration::from_millis(1), "median {median:?}");
     }
 }

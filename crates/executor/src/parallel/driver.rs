@@ -10,10 +10,11 @@
 //! channel operation, which is what makes the pool deadlock-free even at
 //! `workers == 1`: channel traffic always progresses).
 //!
-//! Failure of any task trips the shared [`AbortSignal`]; every blocked
-//! channel wait and kernel operator boundary re-checks it within ~10ms,
-//! so the whole gang drains, closes its channels, and joins — no leaked
-//! threads, no deadlock. Deadlines ride the same signal.
+//! A failing task records its error and trips the shared [`AbortSignal`]
+//! before its channel ends drop. The run's abort waker then closes every
+//! local channel and wakes every socket receive and spool wait, and
+//! kernels check the signal at operator boundaries, so the gang drains
+//! and joins at once with the root cause. Deadlines ride the same signal.
 
 use crate::columnar::{cexec, ColStream};
 use crate::engine::project_output;
@@ -329,10 +330,23 @@ impl<'a> ParallelEngine<'a> {
         let pool = Arc::new(BatchPool::new());
         // Spooled CTE bytes count against the process-wide budget (if the
         // grant carries one) for the duration of the run.
-        let spool = match self.mem.as_ref().and_then(|m| m.budget()) {
+        let spool = Arc::new(match self.mem.as_ref().and_then(|m| m.budget()) {
             Some(b) => SharedSpool::new().with_budget(b),
             None => SharedSpool::new(),
-        };
+        });
+        // The run's abort waker: no channel, socket receive or spool wait
+        // outlives an abort (the compute gate needs none).
+        let edges: Vec<_> = channels
+            .iter()
+            .flat_map(|c| c.rx.iter().flatten().flatten())
+            .chain(result_rxs.iter().flatten())
+            .map(MsgReceiver::waker)
+            .collect();
+        let woken_spool = Arc::clone(&spool);
+        let _woken = abort.on_abort(move || {
+            edges.into_iter().for_each(|wake| wake());
+            woken_spool.wake();
+        });
         let first_err: Mutex<Option<OrcaError>> = Mutex::new(None);
         let merged_stats: Mutex<ExecStats> = Mutex::new(ExecStats::default());
         let root_out: Mutex<Vec<Option<StreamSet>>> = Mutex::new((0..n).map(|_| None).collect());
@@ -383,9 +397,11 @@ impl<'a> ParallelEngine<'a> {
                     };
                     let first_err = &first_err;
                     scope.spawn(move || {
-                        let abort = Arc::clone(task.abort);
-                        if let Err(e) = run_task(task) {
-                            abort_once(first_err, &abort, e);
+                        // Record a failure while the task still holds its
+                        // channel ends: a peer that sees them drop then
+                        // finds the root cause already recorded.
+                        if let Err(e) = run_task(&task) {
+                            abort_once(first_err, task.abort, e);
                         }
                     });
                 }
@@ -517,7 +533,7 @@ enum TaskOut {
     Spool(SpoolPayload),
 }
 
-fn run_task(task: TaskCtx<'_>) -> Result<()> {
+fn run_task(task: &TaskCtx<'_>) -> Result<()> {
     let t_start = Instant::now();
     // Phase 1 — receive every input motion and every spooled CTE (no
     // compute slot held; a blocked receive must not starve the senders
@@ -545,7 +561,8 @@ fn run_task(task: TaskCtx<'_>) -> Result<()> {
     // Phase 2 — the kernel, under the compute gate. Spooled CTEs are
     // seeded into the kernel's stash so its CteScan arm finds exactly
     // the stream the serial engine would have materialized.
-    task.gate.acquire(task.abort)?;
+    task.abort.check()?;
+    let slot = task.gate.acquire();
     let t_compute = Instant::now();
     let (out, stats) = if task.columnar {
         let mut ctx =
@@ -596,7 +613,7 @@ fn run_task(task: TaskCtx<'_>) -> Result<()> {
         (out, ctx.stats)
     };
     let compute = t_compute.elapsed().as_nanos() as u64;
-    task.gate.release();
+    drop(slot);
     merge_stats(&mut task.merged_stats.lock().unwrap(), &stats);
     let out = out?;
     // Phase 3 — publish (spool slices), ship (sender slices), or park
@@ -813,7 +830,7 @@ fn merge_stats(into: &mut ExecStats, from: &ExecStats) {
 
 /// Record the first task error and trip the abort so every other task
 /// drains. Later errors are almost always consequences of the first
-/// (disconnects, aborts) and are dropped.
+/// (aborts, which is how a disconnect is reported too) and are dropped.
 fn abort_once(first_err: &Mutex<Option<OrcaError>>, abort: &AbortSignal, err: OrcaError) {
     {
         let mut slot = first_err.lock().unwrap();
@@ -831,12 +848,15 @@ fn abort_once(first_err: &Mutex<Option<OrcaError>>, abort: &AbortSignal, err: Or
 }
 
 /// Bounds the number of tasks in the compute phase. Plain
-/// mutex+condvar (the hot path is per-task, not per-row), with a short
-/// wait timeout so an abort is observed promptly.
+/// mutex+condvar (the hot path is per-task, not per-row). The wait needs
+/// no abort waker: every holder releases, even on unwind ([`GateSlot`]).
 struct ComputeGate {
     slots: Mutex<usize>,
     ready: Condvar,
 }
+
+/// One compute slot, released on drop.
+struct GateSlot<'a>(&'a ComputeGate);
 
 impl ComputeGate {
     fn new(workers: usize) -> ComputeGate {
@@ -846,25 +866,20 @@ impl ComputeGate {
         }
     }
 
-    fn acquire(&self, abort: &AbortSignal) -> Result<()> {
+    fn acquire(&self) -> GateSlot<'_> {
         let mut slots = self.slots.lock().unwrap();
-        loop {
-            abort.check()?;
-            if *slots > 0 {
-                *slots -= 1;
-                return Ok(());
-            }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(slots, Duration::from_millis(10))
-                .unwrap();
-            slots = guard;
+        while *slots == 0 {
+            slots = self.ready.wait(slots).unwrap();
         }
+        *slots -= 1;
+        GateSlot(self)
     }
+}
 
-    fn release(&self) {
-        *self.slots.lock().unwrap() += 1;
-        self.ready.notify_one();
+impl Drop for GateSlot<'_> {
+    fn drop(&mut self) {
+        *self.0.slots.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+        self.0.ready.notify_one();
     }
 }
 
@@ -1393,6 +1408,127 @@ mod tests {
             .run_with_abort(&plan, &[ColId(0)], &abort)
             .unwrap_err();
         assert_eq!(err.kind(), "aborted");
+    }
+
+    /// No wait re-checks on a clock, so a missed notify is a hang rather
+    /// than a stall. 500 runs of the three-slice Figure 6 shape under the
+    /// tightest window, half of them cancelled 0–2 ms in, must all finish
+    /// — correct or "aborted" — within 60 s.
+    #[test]
+    fn no_lost_wakeup_under_a_one_batch_window() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let (db, t1, t2, _) = db();
+        let join = PhysicalPlan::new(
+            PhysicalOp::HashJoin {
+                kind: JoinKind::Inner,
+                left_keys: vec![ColId(0)],
+                right_keys: vec![ColId(3)],
+                residual: None,
+            },
+            vec![
+                scan(&t1, 0),
+                motion(MotionKind::Redistribute(vec![ColId(3)]), scan(&t2, 2)),
+            ],
+        );
+        let plan = motion(
+            MotionKind::GatherMerge(OrderSpec::by(&[ColId(0)])),
+            PhysicalPlan::new(
+                PhysicalOp::Sort {
+                    order: OrderSpec::by(&[ColId(0)]),
+                },
+                vec![join],
+            ),
+        );
+        let out_cols = [ColId(0), ColId(2)];
+        let expected = ExecEngine::new(&db).run(&plan, &out_cols).unwrap().rows;
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut rng = StdRng::seed_from_u64(34);
+            for i in 0..500 {
+                let cfg = ParallelConfig {
+                    workers: 1 + i % 4,
+                    batch_rows: 1,
+                    channel_capacity: 1,
+                    deadline: None,
+                    columnar: i % 8 < 4,
+                    net: NetConfig::default(),
+                };
+                let abort = Arc::new(AbortSignal::new());
+                let cancel = ((i / 8) % 2 == 1).then(|| {
+                    let abort = Arc::clone(&abort);
+                    let delay = Duration::from_micros(rng.gen_range(0..2000));
+                    std::thread::spawn(move || {
+                        std::thread::sleep(delay);
+                        abort.abort();
+                    })
+                });
+                let engine = ParallelEngine::with_config(&db, cfg);
+                match engine.run_with_abort(&plan, &out_cols, &abort) {
+                    Ok(r) => assert_eq!(r.rows, expected, "run {i}"),
+                    Err(e) => assert!(cancel.is_some() && e.kind() == "aborted", "run {i}: {e}"),
+                }
+                if let Some(c) = cancel {
+                    c.join().unwrap();
+                }
+            }
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a run hung: some wait missed its wake-up");
+    }
+
+    /// A failing task records its error before its channel ends drop, so
+    /// the peers that see the disconnect report the root cause, never
+    /// the disconnect. Looped because the race it closes was timing-bound.
+    #[test]
+    fn failing_task_reports_the_root_cause_not_a_disconnect() {
+        let (db, t1, t2, _) = db();
+        let bad_filter = PhysicalPlan::new(
+            PhysicalOp::Filter {
+                pred: ScalarExpr::Cmp {
+                    op: orca_expr::scalar::CmpOp::Eq,
+                    left: Box::new(ScalarExpr::ColRef(ColId(99))),
+                    right: Box::new(ScalarExpr::Const(Datum::Int(1))),
+                },
+            },
+            vec![scan(&t2, 2)],
+        );
+        let plan = motion(
+            MotionKind::Gather,
+            PhysicalPlan::new(
+                PhysicalOp::HashJoin {
+                    kind: JoinKind::Inner,
+                    left_keys: vec![ColId(0)],
+                    right_keys: vec![ColId(3)],
+                    residual: None,
+                },
+                vec![scan(&t1, 0), motion(MotionKind::Broadcast, bad_filter)],
+            ),
+        );
+        let mut other = Vec::new();
+        for i in 0..400 {
+            let cfg = ParallelConfig {
+                workers: 1 + i % 4,
+                batch_rows: 1,
+                channel_capacity: 1,
+                deadline: None,
+                columnar: i % 8 < 4,
+                net: NetConfig::default(),
+            };
+            let err = ParallelEngine::with_config(&db, cfg)
+                .run(&plan, &[ColId(0)])
+                .unwrap_err();
+            if !err.to_string().contains("unbound column") {
+                other.push(err);
+            }
+        }
+        assert!(
+            other.is_empty(),
+            "{} of 400 runs: {:?}",
+            other.len(),
+            other[0]
+        );
     }
 
     /// An expired deadline surfaces as a timeout error.

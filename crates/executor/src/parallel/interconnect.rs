@@ -4,8 +4,11 @@
 //! channels — one per (sender instance, receiver instance) pair. A
 //! channel carries a short protocol: `Open(layout)`, zero or more
 //! `Batch` messages of up to `batch_rows` rows, then `Eos`. Bounded
-//! capacity is the backpressure mechanism: a fast sender blocks (in
-//! 10ms abort-checking slices) once `capacity` batches are in flight.
+//! capacity is the backpressure mechanism: a fast sender blocks once
+//! `capacity` batches are in flight. Blocked sends and receives wait
+//! untimed; the run registers [`MsgReceiver::waker`] for every edge with
+//! its [`AbortSignal`], so an abort closes each channel and every
+//! blocked peer returns the recorded error at once.
 //!
 //! Batches travel **columnar** ([`ColumnBatch`]): a Gather forwards the
 //! kernel's output columns without touching individual rows, and a
@@ -24,7 +27,7 @@ use crate::columnar::{ColStream, ColumnBatch};
 use crate::merge::{kway_merge, RowSource};
 use crate::net::{NetReceiver, NetSender};
 use crate::storage::Row;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use orca_common::hash::FnvHasher;
 use orca_common::{ColId, OrcaError, Result, SegmentConfig};
 use orca_expr::physical::MotionKind;
@@ -32,12 +35,6 @@ use orca_gpos::AbortSignal;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
-
-/// How long a blocked channel operation waits before re-checking the
-/// abort signal. Small enough that cancellation is prompt; large enough
-/// that a healthy pipeline never spins.
-const POLL: Duration = Duration::from_millis(10);
 
 /// Max batch shells kept on the free list. Enough to cover every
 /// in-flight batch of a busy gang; beyond that, dropping is cheaper
@@ -71,8 +68,8 @@ pub enum Msg {
 
 /// The sending half of one directed motion edge: an in-process bounded
 /// channel, or a TCP connection when the receiving instance lives in
-/// another process. Both block in abort-checking poll slices and bound
-/// the number of in-flight batches at the matrix capacity.
+/// another process. Both bound the number of in-flight batches at the
+/// matrix capacity.
 pub enum MsgSender {
     Local(Sender<Msg>),
     Net(NetSender),
@@ -81,7 +78,11 @@ pub enum MsgSender {
 impl MsgSender {
     pub fn send(&self, msg: Msg, abort: &AbortSignal) -> Result<()> {
         match self {
-            MsgSender::Local(tx) => send_msg(tx, msg, abort),
+            MsgSender::Local(tx) => {
+                abort.check()?;
+                tx.send(msg)
+                    .map_err(|_| abort_error(abort, "interconnect receiver disconnected"))
+            }
             MsgSender::Net(tx) => tx.send(msg, abort),
         }
     }
@@ -105,8 +106,25 @@ pub enum MsgReceiver {
 impl MsgReceiver {
     pub fn recv(&self, abort: &AbortSignal) -> Result<Msg> {
         match self {
-            MsgReceiver::Local(rx) => recv_msg(rx, abort),
+            MsgReceiver::Local(rx) => {
+                abort.check()?;
+                rx.recv()
+                    .map_err(|_| abort_error(abort, "interconnect sender disconnected"))
+            }
             MsgReceiver::Net(rx) => rx.recv(abort),
+        }
+    }
+
+    /// The abort waker for this edge: it closes a local channel, which
+    /// fails the `send` or `recv` blocked on either end, or wakes a
+    /// socket edge's receive.
+    pub fn waker(&self) -> Box<dyn FnOnce() + Send> {
+        match self {
+            MsgReceiver::Local(rx) => {
+                let closer = rx.closer();
+                Box::new(move || closer.close())
+            }
+            MsgReceiver::Net(rx) => Box::new(rx.waker()),
         }
     }
 }
@@ -188,40 +206,15 @@ impl MotionChannels {
     }
 }
 
-fn send_msg(tx: &Sender<Msg>, mut msg: Msg, abort: &AbortSignal) -> Result<()> {
-    loop {
-        abort.check()?;
-        match tx.send_timeout(msg, POLL) {
-            Ok(()) => return Ok(()),
-            Err(SendTimeoutError::Timeout(m)) => msg = m,
-            Err(SendTimeoutError::Disconnected(_)) => {
-                // The receiver died; its error (or the abort) is the root
-                // cause — this is just the upstream symptom.
-                return Err(abort_error(abort, "interconnect receiver disconnected"));
-            }
-        }
-    }
-}
-
-fn recv_msg(rx: &Receiver<Msg>, abort: &AbortSignal) -> Result<Msg> {
-    loop {
-        abort.check()?;
-        match rx.recv_timeout(POLL) {
-            Ok(m) => return Ok(m),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(abort_error(abort, "interconnect sender disconnected"));
-            }
-        }
-    }
-}
-
-/// Prefer the recorded root-cause error over a generic disconnect.
-fn abort_error(abort: &AbortSignal, fallback: &str) -> OrcaError {
+/// A disconnect is a symptom: the abort closed the channel, or the peer
+/// failed and recorded its error before dropping its end. Report that
+/// root cause; a peer that hung up without recording one (a panic) is
+/// reported as an abort, never as a cause of its own.
+fn abort_error(abort: &AbortSignal, what: &str) -> OrcaError {
     if abort.is_aborted() {
         abort.error()
     } else {
-        OrcaError::Execution(fallback.into())
+        OrcaError::Aborted(what.into())
     }
 }
 
@@ -576,6 +569,7 @@ mod tests {
     use orca_common::Datum;
     use orca_expr::props::OrderSpec;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn stream(rows: Vec<Row>, replicated: bool) -> ColStream {
         let mut s = StreamSet::empty(vec![ColId(0), ColId(1)], 1);
@@ -751,21 +745,22 @@ mod tests {
         assert_eq!(got[0], big);
     }
 
+    /// A sender parked on a full channel returns within a millisecond of
+    /// the abort: the abort closes the channel rather than waiting for a
+    /// re-check.
     #[test]
     fn abort_unblocks_a_stuck_sender() {
-        let mut ch = MotionChannels::new(1, 1);
-        let abort = Arc::new(AbortSignal::new());
-        let counters = MotionCounters::default();
-        let pool = BatchPool::new();
-        let txs = ch.tx[0].take().unwrap();
-        let _rxs = ch.rx[0].take().unwrap(); // held, never drained
-        let rows: Vec<Row> = (0..100).map(|i| vec![Datum::Int(i)]).collect();
-        let mut s = StreamSet::empty(vec![ColId(0)], 1);
-        s.per_seg[0] = rows;
-        let s = ColStream::from_streamset(&s, 4);
-        let t = std::thread::spawn({
-            let abort = abort.clone();
-            move || {
+        let median = crate::test_util::median_abort_latency(|abort| {
+            std::thread::spawn(move || {
+                let mut ch = MotionChannels::new(1, 1);
+                let txs = ch.tx[0].take().unwrap();
+                let rxs = ch.rx[0].take().unwrap(); // held, never drained
+                let _wake = abort.on_abort(rxs[0].waker());
+                let rows: Vec<Row> = (0..100).map(|i| vec![Datum::Int(i)]).collect();
+                let mut s = StreamSet::empty(vec![ColId(0)], 1);
+                s.per_seg[0] = rows;
+                let s = ColStream::from_streamset(&s, 4);
+                let (counters, pool) = (MotionCounters::default(), BatchPool::new());
                 send_stream(
                     &MotionKind::Gather,
                     s,
@@ -777,11 +772,23 @@ mod tests {
                     &pool,
                     None,
                 )
-            }
+            })
         });
-        std::thread::sleep(Duration::from_millis(30));
-        abort.abort();
-        let err = t.join().unwrap().unwrap_err();
-        assert_eq!(err.kind(), "aborted");
+        assert!(median < Duration::from_millis(1), "median {median:?}");
+    }
+
+    /// A receiver parked on an empty channel wakes the same way.
+    #[test]
+    fn abort_unblocks_a_waiting_receiver() {
+        let median = crate::test_util::median_abort_latency(|abort| {
+            std::thread::spawn(move || {
+                let mut ch = MotionChannels::new(1, 1);
+                let _txs = ch.tx[0].take().unwrap(); // held, never sends
+                let rxs = ch.rx[0].take().unwrap();
+                let _wake = abort.on_abort(rxs[0].waker());
+                rxs[0].recv(&abort)
+            })
+        });
+        assert!(median < Duration::from_millis(1), "median {median:?}");
     }
 }

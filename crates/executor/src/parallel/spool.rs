@@ -8,9 +8,10 @@
 //! acquires one, so the spool never interacts with the compute gate —
 //! the same discipline that keeps the interconnect deadlock-free.
 //!
-//! Waits poll the [`AbortSignal`] every ~10ms (the repo-wide liveness
-//! convention), so a failed or cancelled producer drains its consumers
-//! promptly instead of hanging them.
+//! A wait blocks until a publish or the run's abort wakes it (the run
+//! registers [`SharedSpool::wake`] with its [`AbortSignal`]), so a failed
+//! or cancelled producer drains its consumers at once instead of hanging
+//! them.
 
 use crate::columnar::{ColStream, ColumnBatch};
 use orca_common::{ColId, CteId, Result};
@@ -18,7 +19,6 @@ use orca_gpos::AbortSignal;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// One segment's share of a materialized CTE: exactly the per-slot state
 /// the serial kernel would have stashed for that segment.
@@ -105,20 +105,27 @@ impl SharedSpool {
         self.ready.notify_all();
     }
 
-    /// Block until the producer gang publishes `(id, seg)`.
+    /// Block until the producer gang publishes `(id, seg)` or the abort
+    /// trips.
     pub fn wait(&self, id: CteId, seg: usize, abort: &AbortSignal) -> Result<Arc<SpoolPayload>> {
+        abort.check()?;
         let mut slots = self.slots.lock().unwrap();
         loop {
-            abort.check()?;
             if let Some(p) = slots.get(&(id, seg)) {
                 return Ok(Arc::clone(p));
             }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(slots, Duration::from_millis(10))
-                .unwrap();
-            slots = guard;
+            if abort.is_tripped() {
+                drop(slots);
+                return Err(abort.error());
+            }
+            slots = self.ready.wait(slots).unwrap();
         }
+    }
+
+    /// Wake every waiter; the run's abort waker.
+    pub fn wake(&self) {
+        drop(self.slots.lock());
+        self.ready.notify_all();
     }
 
     /// Total rows published so far.
@@ -172,5 +179,23 @@ mod tests {
         let abort = AbortSignal::new();
         abort.abort();
         assert!(spool.wait(CteId(1), 0, &abort).is_err());
+    }
+
+    /// A consumer whose producer never publishes returns within a
+    /// millisecond of the abort.
+    #[test]
+    fn abort_wakes_a_waiting_consumer() {
+        let median = crate::test_util::median_abort_latency(|abort| {
+            std::thread::spawn(move || {
+                let spool = Arc::new(SharedSpool::new());
+                let woken = Arc::clone(&spool);
+                let _wake = abort.on_abort(move || woken.wake());
+                spool.wait(CteId(1), 0, &abort)
+            })
+        });
+        assert!(
+            median < std::time::Duration::from_millis(1),
+            "median {median:?}"
+        );
     }
 }

@@ -10,13 +10,14 @@
 //! **Cooperative scans.** A probe that misses installs a `Filling` slot
 //! and returns [`Probe::Lead`]: the caller performs the scan and
 //! publishes the result. A probe that finds `Filling` waits on a condvar
-//! (10ms abort-poll, the repo-wide liveness convention) and attaches to
-//! the leader's result when it lands — the scan happens once no matter
-//! how many queries race to it. A leader can never block between
-//! installing `Filling` and publishing (the scan is pure in-memory
-//! compute), so waiters always make progress; if the leader errors or
-//! unwinds, its guard removes the slot and wakes the waiters, and the
-//! first of them takes over the lead.
+//! and attaches to the leader's result when it lands — the scan happens
+//! once no matter how many queries race to it. A leader can never block
+//! between installing `Filling` and publishing (the scan is pure
+//! in-memory compute), so waiters always make progress; if the leader
+//! errors or unwinds, its guard removes the slot and wakes the waiters,
+//! and the first of them takes over the lead. The wait needs no abort
+//! waker: a cancelled follower waits out at most one leader scan, then
+//! sees its abort.
 //!
 //! **Invalidation** rides the versioned `MdId` machinery: the version is
 //! part of the key, so a bumped table simply never matches, and
@@ -35,7 +36,6 @@ use orca_gpos::AbortSignal;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// Identity of one cached scan fragment.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -233,11 +233,7 @@ impl FragmentCache {
                 }
                 Found::Filling => {
                     waited = true;
-                    let (guard, _) = self
-                        .ready
-                        .wait_timeout(inner, Duration::from_millis(10))
-                        .unwrap();
-                    inner = guard;
+                    inner = self.ready.wait(inner).unwrap();
                 }
                 Found::Missing => {
                     inner.map.insert(
@@ -401,6 +397,7 @@ impl Drop for LeadGuard<'_> {
 mod tests {
     use super::*;
     use orca_common::Datum;
+    use std::time::Duration;
 
     fn batch(vals: &[i64]) -> ColumnBatch {
         let rows: Vec<Vec<Datum>> = vals.iter().map(|v| vec![Datum::Int(*v)]).collect();

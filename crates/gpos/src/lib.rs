@@ -9,8 +9,9 @@
 //!   machines that can spawn child jobs and suspend until they finish; jobs
 //!   with the same *goal* are deduplicated so concurrent requests share one
 //!   computation (the per-group job queues of §4.2).
-//! * [`task`] — cooperative cancellation: abort flags, deadlines, and error
-//!   capture so a failing job can tear down the whole optimization session.
+//! * [`task`] — cooperative cancellation: abort flags, deadlines, error
+//!   capture so a failing job can tear down the whole optimization session,
+//!   and the abort wake list every blocked thread in the process relies on.
 //! * [`mem`] — memory accounting used to report the optimizer footprint
 //!   statistics of §7.2.2.
 
@@ -20,4 +21,4 @@ pub mod task;
 
 pub use mem::MemTracker;
 pub use sched::{Job, JobHandle, Scheduler, StepResult};
-pub use task::AbortSignal;
+pub use task::{wait_until, AbortSignal, OnAbort};

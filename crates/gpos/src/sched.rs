@@ -293,10 +293,12 @@ impl<C: ?Sized + Sync, K: Hash + Eq + Clone + Send + Sync> Scheduler<C, K> {
     }
 
     fn complete(&self, entry: &Handle<C, K>, local: &Deque<Handle<C, K>>) {
-        entry.state.store(ST_DONE, Ordering::SeqCst);
+        // Publish the goal before DONE: a linker that sees DONE resumes at
+        // once and expects `goal_done` to hold.
         if let Some(goal) = &entry.goal {
             self.goals.lock().insert(goal.clone(), GoalState::Done);
         }
+        entry.state.store(ST_DONE, Ordering::SeqCst);
         let waiters: Vec<Handle<C, K>> = std::mem::take(&mut *entry.waiters.lock());
         for we in waiters {
             let before = we.deps.fetch_sub(1, Ordering::SeqCst);

@@ -8,8 +8,10 @@
 //!
 //! Deliberately built on `std::sync::{Mutex, Condvar}` — the vendored
 //! `parking_lot` shim has no condition variable, and the queue wait path
-//! needs timed blocking for per-request deadlines.
+//! blocks until a release or the request's own deadline
+//! ([`orca_gpos::wait_until`]).
 
+use orca_gpos::wait_until;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -75,21 +77,16 @@ impl AdmissionGate {
                 self.cv.notify_all();
                 return Admission::Queued(enqueued.elapsed());
             }
-            match deadline {
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        st.queue.retain(|t| *t != ticket);
-                        // Our departure may unblock the head-of-line check
-                        // for whoever is behind us.
-                        self.cv.notify_all();
-                        return Admission::TimedOut;
-                    }
-                    let (guard, _) = self.cv.wait_timeout(st, d - now).expect("gate poisoned");
-                    st = guard;
+            st = match wait_until(&self.cv, st, deadline) {
+                Ok(guard) => guard,
+                Err(mut st) => {
+                    st.queue.retain(|t| *t != ticket);
+                    // Our departure may unblock the head-of-line check
+                    // for whoever is behind us.
+                    self.cv.notify_all();
+                    return Admission::TimedOut;
                 }
-                None => st = self.cv.wait(st).expect("gate poisoned"),
-            }
+            };
         }
     }
 

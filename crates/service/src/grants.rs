@@ -178,11 +178,7 @@ impl MemoryGrantBroker {
                 drop(pool);
                 return self.grant(bytes, desired, degraded, t0.elapsed());
             }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(pool, Duration::from_millis(10))
-                .unwrap();
-            pool = guard;
+            pool = self.ready.wait(pool).unwrap();
         }
     }
 

@@ -61,7 +61,6 @@ pub use metrics::{ServiceMetrics, ServiceStats};
 pub use server::{ServiceClient, ServiceServer};
 pub use session::{Session, SessionId, SessionManager};
 
-use orca::engine::QueryReqs;
 use orca::{OptStats, Optimizer, OptimizerConfig};
 use orca_catalog::provider::MdProvider;
 use orca_catalog::MdAccessor;
@@ -74,6 +73,7 @@ use orca_executor::{
 use orca_expr::logical::TableRef;
 use orca_expr::physical::PhysicalPlan;
 use orca_expr::ColumnRegistry;
+use orca_gpos::wait_until;
 use orca_planner::LegacyPlanner;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -490,17 +490,6 @@ impl Service {
         self.submit_query_inner(session, &query, budget, Some(sink))
     }
 
-    /// [`Service::submit_streaming`] for an already-parsed document.
-    pub fn submit_query_streaming(
-        &self,
-        session: SessionId,
-        query: &DxlQuery,
-        budget: Option<Duration>,
-        sink: &mut dyn StreamSink,
-    ) -> Result<PlanTicket> {
-        self.submit_query_inner(session, query, budget, Some(sink))
-    }
-
     fn submit_query_inner(
         &self,
         session: SessionId,
@@ -754,22 +743,15 @@ impl Service {
     }
 
     /// Park until the in-flight leader finishes (or this request's own
-    /// deadline expires). The 10ms re-check bounds how stale a deadline
-    /// can get; the leader's lease guarantees `done` is always set.
+    /// deadline expires); the leader's lease guarantees `done` is always
+    /// set and notified.
     fn await_inflight(&self, entry: &Inflight, deadline: Option<Instant>) -> Option<PlanResponse> {
         let mut done = entry.done.lock().unwrap();
         loop {
             if let Some(outcome) = done.as_ref() {
                 return outcome.clone();
             }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return None;
-            }
-            let (guard, _) = entry
-                .cv
-                .wait_timeout(done, Duration::from_millis(10))
-                .unwrap();
-            done = guard;
+            done = wait_until(&entry.cv, done, deadline).ok()?;
         }
     }
 
@@ -997,16 +979,6 @@ impl Service {
             .saturating_mul(cluster.num_segments.max(1) as u64);
         let cost_bytes = (cost.max(0.0) * (1u64 << 20) as f64).min(1e18) as u64;
         cost_bytes.max(floor)
-    }
-}
-
-/// Re-exported for callers that submit raw logical trees (tests/bench):
-/// build query requirements the same way `optimize_query` does.
-pub fn reqs_of(query: &DxlQuery) -> QueryReqs {
-    QueryReqs {
-        output_cols: query.output_cols.clone(),
-        order: query.order.clone(),
-        dist: query.dist.clone(),
     }
 }
 

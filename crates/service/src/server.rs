@@ -24,14 +24,16 @@
 //! are answers, not disconnects: a failed request emits `FRAME_ERR` and
 //! the connection stays usable for the next request.
 //!
-//! Shutdown is a graceful drain: the listener stops accepting, idle
-//! connections notice the flag at the next poll tick, and a connection
-//! mid-response finishes writing it before exiting.
+//! Shutdown is a graceful drain: the listener stops accepting (a
+//! self-connect wakes the blocking acceptor), idle connections notice the
+//! flag at their next socket timeout, and a connection mid-response
+//! finishes writing it before exiting.
 
 use crate::{PlanHeader, PlanSource, Service, SessionId, StreamSink};
 use orca_common::{OrcaError, Result};
 use orca_executor::codec;
 use orca_executor::net::frame::{decode_abort, FrameReader};
+use orca_executor::net::transport::wake_accept;
 use orca_executor::Row;
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -56,8 +58,8 @@ pub const FRAME_DONE: u8 = 0x22;
 /// interconnect's abort frame, so [`decode_abort`] rebuilds the variant).
 pub const FRAME_ERR: u8 = 0x23;
 
-/// Idle-poll granularity: how often a parked connection or the accept
-/// loop re-checks shutdown, and how often a stalled write retries.
+/// Socket timeout: how often a parked connection re-checks shutdown,
+/// and how often a stalled write retries.
 const POLL: Duration = Duration::from_millis(10);
 
 /// Extra slack a client allows past its request deadline before calling
@@ -373,9 +375,6 @@ impl ServiceServer {
     /// start accepting connections against `service`.
     pub fn start(service: Arc<Service>, addr: &str) -> Result<ServiceServer> {
         let listener = TcpListener::bind(addr).map_err(|e| net_err("bind failed", e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| net_err("set_nonblocking failed", e))?;
         let addr = listener
             .local_addr()
             .map_err(|e| net_err("local_addr failed", e))?;
@@ -388,42 +387,41 @@ impl ServiceServer {
             let active = Arc::clone(&active);
             let conns = Arc::clone(&conns);
             thread::spawn(move || {
-                while !shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((sock, _peer)) => {
-                            let reader_sock = match sock.try_clone() {
-                                Ok(s) => s,
-                                Err(_) => continue, // drop the connection
-                            };
-                            let _ = sock.set_nodelay(true);
-                            // Blocking socket with short kernel timeouts:
-                            // idle request reads park in the kernel and
-                            // wake the instant bytes arrive, yet still
-                            // surface every POLL tick to check shutdown.
-                            if sock.set_read_timeout(Some(POLL)).is_err()
-                                || sock.set_write_timeout(Some(POLL)).is_err()
-                            {
-                                continue;
-                            }
-                            service
-                                .metrics
-                                .net_connections
-                                .fetch_add(1, Ordering::Relaxed);
-                            active.fetch_add(1, Ordering::Relaxed);
-                            let conn = Conn {
-                                service: Arc::clone(&service),
-                                sock,
-                                reader: FrameReader::new(reader_sock),
-                                shutdown: Arc::clone(&shutdown),
-                                active: Arc::clone(&active),
-                            };
-                            let mut guard = conns.lock().unwrap();
-                            guard.retain(|h| !h.is_finished());
-                            guard.push(thread::spawn(move || conn.run()));
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(POLL),
-                        Err(_) => thread::sleep(POLL), // transient accept error
+                // A blocking accept; `shutdown` wakes it with a
+                // self-connect. Accept errors are retried.
+                for sock in listener.incoming() {
+                    if shutdown.load(Ordering::SeqCst) {
+                        return;
                     }
+                    let Ok(sock) = sock else { continue };
+                    let Ok(reader_sock) = sock.try_clone() else {
+                        continue; // drop the connection
+                    };
+                    let _ = sock.set_nodelay(true);
+                    // Blocking socket with short kernel timeouts: idle
+                    // request reads park in the kernel and wake the
+                    // instant bytes arrive, yet still surface every POLL
+                    // tick to check shutdown.
+                    if sock.set_read_timeout(Some(POLL)).is_err()
+                        || sock.set_write_timeout(Some(POLL)).is_err()
+                    {
+                        continue;
+                    }
+                    service
+                        .metrics
+                        .net_connections
+                        .fetch_add(1, Ordering::Relaxed);
+                    active.fetch_add(1, Ordering::Relaxed);
+                    let conn = Conn {
+                        service: Arc::clone(&service),
+                        sock,
+                        reader: FrameReader::new(reader_sock),
+                        shutdown: Arc::clone(&shutdown),
+                        active: Arc::clone(&active),
+                    };
+                    let mut guard = conns.lock().unwrap();
+                    guard.retain(|h| !h.is_finished());
+                    guard.push(thread::spawn(move || conn.run()));
                 }
             })
         };
@@ -451,8 +449,9 @@ impl ServiceServer {
     /// response it is writing (idle ones exit at the next poll tick),
     /// and join all threads. Idempotent.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
+            wake_accept(self.addr);
             let _ = h.join();
         }
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.conns.lock().unwrap());

@@ -27,12 +27,6 @@ pub struct Session {
     pub submitted: AtomicU64,
 }
 
-impl Session {
-    pub fn requests_submitted(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed)
-    }
-}
-
 /// Directory of live sessions.
 #[derive(Default)]
 pub struct SessionManager {
