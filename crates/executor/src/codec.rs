@@ -302,6 +302,18 @@ pub fn decode_batch_from(c: &mut Cursor<'_>) -> Result<ColumnBatch> {
                 let dict: Vec<String> = (0..dict_len).map(|_| c.str()).collect::<Result<_>>()?;
                 let nulls = c.nulls(nrows)?;
                 let codes: Vec<u32> = (0..nrows).map(|_| c.u32()).collect::<Result<_>>()?;
+                // Readers index the dictionary by code, so a code past its
+                // end must be rejected here, not panic there. NULL slots
+                // carry a placeholder code that is never read.
+                let bad = codes.iter().enumerate().find(|&(i, &code)| {
+                    code as usize >= dict_len && !nulls.as_ref().is_some_and(|nb| nb.get(i))
+                });
+                if let Some((i, code)) = bad {
+                    return Err(OrcaError::Execution(format!(
+                        "batch decode: dictionary code {code} at row {i} \
+                         exceeds the {dict_len}-entry dictionary"
+                    )));
+                }
                 Column::Dict {
                     codes: Buf::new(codes),
                     dict: std::sync::Arc::new(dict),
@@ -388,6 +400,38 @@ mod tests {
         // The wire shape carries codes + dictionary, not decoded strings:
         // 4 codes beat 4 decoded copies of "yy"/"x" for longer columns.
         assert!(bytes.len() < 80);
+    }
+
+    #[test]
+    fn decoder_rejects_dictionary_codes_past_the_dictionary() {
+        let encode = |codes: Vec<u32>, dict: Vec<String>, nulls: Option<BitVec>| {
+            let len = codes.len();
+            let col = Column::Dict {
+                codes: Buf::new(codes),
+                dict: Arc::new(dict),
+                nulls,
+            };
+            encode_batch(&ColumnBatch {
+                cols: vec![col],
+                len,
+            })
+        };
+        // One row, a one-entry dictionary, code 7: a reader would index
+        // past the dictionary.
+        let bytes = encode(vec![7], vec!["x".into()], None);
+        let err = decode_batch(&bytes).unwrap_err();
+        assert_eq!(err.kind(), "execution");
+        assert!(err.to_string().contains("dictionary code 7"), "{err}");
+        // The last valid code decodes.
+        let ok = decode_batch(&encode(vec![0, 1], vec!["x".into(), "y".into()], None)).unwrap();
+        assert_eq!(ok.cols[0].get(1), Datum::Str("y".into()));
+        // A NULL slot's placeholder code is never read, so an all-NULL
+        // column with an empty dictionary (what `dict_encoded` builds)
+        // stays valid.
+        let mut nulls = BitVec::new();
+        nulls.push(true);
+        let all_null = decode_batch(&encode(vec![0], Vec::new(), Some(nulls))).unwrap();
+        assert_eq!(all_null.cols[0].get(0), Datum::Null);
     }
 
     #[test]

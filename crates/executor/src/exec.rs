@@ -132,20 +132,24 @@ pub struct ExecStats {
     pub ops: BTreeMap<&'static str, OpProfile>,
 }
 
-/// Per-query execution context.
+/// Per-query execution context, shared by both kernels.
 ///
-/// Two modes share the same interpreter:
-///
-/// * **cluster mode** (`local_segment == None`) — the serial engine: every
+/// * **cluster mode** (`local_segment == None`) — a whole plan: every
 ///   stream has one slot per segment and motions move rows between slots.
-/// * **single-segment mode** (`local_segment == Some(s)`) — the parallel
-///   engine's within-slice kernel: streams have exactly one slot holding
-///   segment `s`'s share, scans read physical segment `s`, and
-///   [`PhysicalOp::ExchangeRecv`] leaves resolve against [`ExecCtx::recv`]
-///   (pre-delivered by the interconnect). Motions never appear (the slicer
-///   cut them out), and master-only conventions (ConstTable rows, scalar
-///   aggregate emission, AssertOneRow) key on the *physical* segment so
-///   an n-instance gang reproduces the serial engine's placement exactly.
+///   The row kernel ([`exec`]) runs only in this mode, as the serial
+///   oracle.
+/// * **single-segment mode** (`local_segment == Some(s)`) — one slice
+///   instance of a gang, run by the columnar kernel
+///   ([`crate::columnar::cexec`]) alone: streams have exactly one slot
+///   holding segment `s`'s share, scans read physical segment `s`, and
+///   [`PhysicalOp::ExchangeRecv`] leaves resolve against
+///   [`ExecCtx::recv_col`] (pre-delivered by the interconnect). Motions
+///   never appear (the slicer cut them out), and master-only conventions
+///   (ConstTable rows, scalar aggregate emission, AssertOneRow) key on the
+///   *physical* segment so an n-instance gang reproduces the serial
+///   engine's placement exactly. The row helpers the columnar kernel
+///   borrows ([`apply_filter`], [`apply_project`], [`apply_nl_join`],
+///   [`apply_setop`]) keep their single-segment handling for it.
 pub struct ExecCtx<'a> {
     pub db: &'a Database,
     pub cluster: &'a SegmentConfig,
@@ -153,12 +157,10 @@ pub struct ExecCtx<'a> {
     pub stats: ExecStats,
     /// `Some(s)` = single-segment mode on physical segment `s`.
     pub local_segment: Option<usize>,
-    /// Streams delivered by the interconnect, keyed by motion id (consumed
-    /// by `ExchangeRecv`; each motion is delivered to a slice exactly once).
-    pub recv: FnvHashMap<usize, StreamSet>,
     /// Columnar counterpart of [`ExecCtx::cte`], used by the batch kernel.
     pub(crate) cte_col: FnvHashMap<CteId, ColStream>,
-    /// Columnar counterpart of [`ExecCtx::recv`], used by the batch kernel.
+    /// Streams delivered by the interconnect, keyed by motion id (consumed
+    /// by `ExchangeRecv`; each motion is delivered to a slice exactly once).
     pub recv_col: FnvHashMap<usize, ColStream>,
     /// Cooperative cancellation: checked at every operator boundary.
     pub abort: Option<Arc<AbortSignal>>,
@@ -187,7 +189,6 @@ impl<'a> ExecCtx<'a> {
             cte: FnvHashMap::default(),
             stats: ExecStats::default(),
             local_segment: None,
-            recv: FnvHashMap::default(),
             cte_col: FnvHashMap::default(),
             recv_col: FnvHashMap::default(),
             abort: None,
@@ -207,33 +208,9 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// A single-segment kernel context for one slice instance of a gang.
-    pub fn for_segment(
-        db: &'a Database,
-        segment: usize,
-        recv: FnvHashMap<usize, StreamSet>,
-        abort: Arc<AbortSignal>,
-    ) -> ExecCtx<'a> {
-        ExecCtx {
-            db,
-            cluster: &db.cluster,
-            cte: FnvHashMap::default(),
-            stats: ExecStats::default(),
-            local_segment: Some(segment),
-            recv,
-            cte_col: FnvHashMap::default(),
-            recv_col: FnvHashMap::default(),
-            abort: Some(abort),
-            frag: None,
-            profile_child_ns: 0,
-            pool: None,
-            mem: Arc::new(crate::memory::MemoryTracker::unbounded()),
-        }
-    }
-
-    /// A single-segment *columnar* kernel context: like
-    /// [`ExecCtx::for_segment`] but interconnect deliveries stay in batch
-    /// form for [`crate::columnar::cexec`].
+    /// A single-segment kernel context for one slice instance of a gang,
+    /// run by [`crate::columnar::cexec`]; interconnect deliveries stay in
+    /// batch form.
     pub fn for_segment_columnar(
         db: &'a Database,
         segment: usize,
@@ -241,19 +218,10 @@ impl<'a> ExecCtx<'a> {
         abort: Arc<AbortSignal>,
     ) -> ExecCtx<'a> {
         ExecCtx {
-            db,
-            cluster: &db.cluster,
-            cte: FnvHashMap::default(),
-            stats: ExecStats::default(),
             local_segment: Some(segment),
-            recv: FnvHashMap::default(),
-            cte_col: FnvHashMap::default(),
             recv_col,
             abort: Some(abort),
-            frag: None,
-            profile_child_ns: 0,
-            pool: None,
-            mem: Arc::new(crate::memory::MemoryTracker::unbounded()),
+            ..ExecCtx::new(db)
         }
     }
 
@@ -399,14 +367,14 @@ pub fn exec(plan: &PhysicalPlan, ctx: &mut ExecCtx<'_>) -> Result<StreamSet> {
 
 fn exec_op(plan: &PhysicalPlan, ctx: &mut ExecCtx<'_>) -> Result<StreamSet> {
     ctx.check_abort()?;
-    let n = ctx.seg_slots();
+    let n = ctx.cluster.num_segments;
     match &plan.op {
         PhysicalOp::TableScan { table, cols, parts } => {
             let t = ctx.db.table(table.mdid)?;
             let mut out = StreamSet::empty(cols.clone(), n);
             out.replicated = t.desc.distribution == orca_catalog::Distribution::Replicated;
             for s in 0..n {
-                let rows = t.scan(ctx.storage_segment(s), parts);
+                let rows = t.scan(s, parts);
                 ctx.stats.rows_processed += rows.len() as u64;
                 out.avail[s] = ctx.tup_time(rows.len());
                 out.per_seg[s] = rows;
@@ -425,7 +393,7 @@ fn exec_op(plan: &PhysicalPlan, ctx: &mut ExecCtx<'_>) -> Result<StreamSet> {
             let mut out = StreamSet::empty(cols.clone(), n);
             out.replicated = t.desc.distribution == orca_catalog::Distribution::Replicated;
             for s in 0..n {
-                let mut rows = t.scan(ctx.storage_segment(s), parts);
+                let mut rows = t.scan(s, parts);
                 rows.sort_by(|a, b| compare_rows(a, b, &order, cols));
                 ctx.stats.rows_processed += rows.len() as u64;
                 // Ordered retrieval: random-access penalty, but no sort
@@ -577,28 +545,15 @@ fn exec_op(plan: &PhysicalPlan, ctx: &mut ExecCtx<'_>) -> Result<StreamSet> {
             Ok(out)
         }
         PhysicalOp::ConstTable { cols, rows } => {
+            // Const rows live on the master by convention.
             let mut out = StreamSet::empty(cols.clone(), n);
-            // Const rows live on the master by convention; a non-master
-            // slice instance materializes an empty stream.
-            if ctx.storage_segment(0) == 0 {
-                out.per_seg[0] = rows.clone();
-            }
+            out.per_seg[0] = rows.clone();
             Ok(out)
         }
         PhysicalOp::AssertOneRow => {
             let input = exec(&plan.children[0], ctx)?;
             let mut out = StreamSet::empty(input.layout.clone(), n);
             let total = input.total_rows();
-            if ctx.storage_segment(0) != 0 {
-                // The enforcer requires singleton input, so every row lives
-                // on the master; a non-master instance must see none.
-                if total != 0 {
-                    return Err(OrcaError::Execution(
-                        "AssertOneRow input off the master segment".into(),
-                    ));
-                }
-                return Ok(out);
-            }
             if total > 1 {
                 return Err(OrcaError::Execution(
                     "more than one row returned by a subquery used as an expression".into(),
@@ -625,8 +580,7 @@ fn exec_op(plan: &PhysicalPlan, ctx: &mut ExecCtx<'_>) -> Result<StreamSet> {
                         })
                     })
                     .collect::<Result<_>>()?;
-                let copies = ctx.one_copy_of(&c);
-                for (s, seg_rows) in copies.iter().enumerate() {
+                for (s, seg_rows) in c.one_copy().iter().enumerate() {
                     for row in seg_rows {
                         out.per_seg[s].push(positions.iter().map(|&p| row[p].clone()).collect());
                     }
@@ -641,9 +595,11 @@ fn exec_op(plan: &PhysicalPlan, ctx: &mut ExecCtx<'_>) -> Result<StreamSet> {
             output,
             input_cols,
         } => exec_setop(plan, ctx, *kind, output, input_cols),
-        PhysicalOp::ExchangeRecv { motion } => ctx.recv.remove(motion).ok_or_else(|| {
-            OrcaError::Execution(format!("motion {motion} not delivered to this slice"))
-        }),
+        // Slices run on the columnar kernel only; the row kernel runs
+        // whole plans, which hold motions, never their receiving ends.
+        PhysicalOp::ExchangeRecv { motion } => Err(OrcaError::Execution(format!(
+            "motion {motion} received by the row kernel, which runs whole plans only"
+        ))),
     }
 }
 
@@ -768,7 +724,7 @@ fn exec_hash_join(
     right_keys: &[ColId],
     residual: Option<&ScalarExpr>,
 ) -> Result<StreamSet> {
-    let n = ctx.seg_slots();
+    let n = ctx.cluster.num_segments;
     let left = exec(&plan.children[0], ctx)?;
     let right = exec(&plan.children[1], ctx)?;
     let lpos = key_positions(&left.layout, left_keys)?;
@@ -1003,7 +959,7 @@ fn exec_agg(
     stage: AggStage,
     stream: bool,
 ) -> Result<StreamSet> {
-    let n = ctx.seg_slots();
+    let n = ctx.cluster.num_segments;
     let input = exec(&plan.children[0], ctx)?;
     let gpos = key_positions(&input.layout, group_cols)?;
     let env = Env::default();
@@ -1082,7 +1038,7 @@ fn exec_agg(
         if group_cols.is_empty() && rows.is_empty() {
             let emit_here = match stage {
                 AggStage::Local => true,
-                _ => ctx.storage_segment(s) == 0,
+                _ => s == 0,
             };
             if emit_here {
                 let accs: Vec<AggAccumulator> = aggs
@@ -1114,13 +1070,6 @@ fn distinct_bytes(input: &StreamSet, n: usize) -> f64 {
 }
 
 fn exec_motion(plan: &PhysicalPlan, ctx: &mut ExecCtx<'_>, kind: &MotionKind) -> Result<StreamSet> {
-    if ctx.local_segment.is_some() {
-        // The slicer cuts plans at motions; a motion inside a slice means
-        // the slicer was bypassed or produced a malformed slice.
-        return Err(OrcaError::Execution(
-            "Motion executed inside a single-segment slice".into(),
-        ));
-    }
     let n = ctx.cluster.num_segments;
     let input = exec(&plan.children[0], ctx)?;
     let bytes = distinct_bytes(&input, n);

@@ -1,9 +1,11 @@
 //! The parallel driver: gang scheduling, cancellation, result assembly.
 //!
 //! Each slice×segment pair is one **task** with a three-phase lifecycle:
-//! receive every input motion's stream, run the serial kernel in
-//! single-segment mode, then send the output into the slice's parent
-//! motion (the root slice instead parks its stream for final assembly).
+//! receive every input motion's stream, run the columnar kernel
+//! ([`cexec`]) in single-segment mode, then send the output into the
+//! slice's parent motion (the root slice instead parks its stream for
+//! final assembly). The row kernel never runs a slice: it runs whole
+//! plans only, as the serial oracle gang results are compared against.
 //! Tasks get a dedicated thread — threads are cheap at gang scale — but
 //! only `workers` of them may be in the compute phase at once (a
 //! semaphore bounds CPU parallelism without ever being held across a
@@ -17,8 +19,8 @@
 //! and joins at once with the root cause. Deadlines ride the same signal.
 
 use crate::columnar::{cexec, ColStream};
-use crate::engine::project_output;
-use crate::exec::{exec, ExecCtx, ExecStats, StreamSet};
+use crate::engine::project_output_col;
+use crate::exec::{ExecCtx, ExecStats};
 use crate::net::{
     ClusterTopology, EndpointKey, NetConfig, NetMotionCounters, NetNode, NetSender, NetShared,
     RESULT_MOTION,
@@ -51,11 +53,6 @@ pub struct ParallelConfig {
     pub channel_capacity: usize,
     /// Overall execution deadline, enforced via the abort signal.
     pub deadline: Option<Duration>,
-    /// Run slice kernels through the vectorized batch engine
-    /// ([`crate::columnar`]) instead of the row interpreter. Results are
-    /// byte-identical either way; `false` keeps the row kernel as the
-    /// differential-test oracle.
-    pub columnar: bool,
     /// Socket-transport tunables, used only by distributed runs.
     pub net: NetConfig,
 }
@@ -69,7 +66,6 @@ impl Default for ParallelConfig {
             batch_rows: 256,
             channel_capacity: 4,
             deadline: None,
-            columnar: true,
             net: NetConfig::default(),
         }
     }
@@ -91,8 +87,8 @@ pub struct ParallelResult {
 pub struct ParallelEngine<'a> {
     pub db: &'a Database,
     pub cfg: ParallelConfig,
-    /// Cross-query fragment cache attached to every columnar slice
-    /// kernel ([`crate::sharing`]).
+    /// Cross-query fragment cache attached to every slice kernel
+    /// ([`crate::sharing`]).
     pub fragments: Option<Arc<crate::sharing::FragmentCache>>,
     /// Per-query memory grant shared by every slice kernel
     /// ([`crate::memory`]); `None` = ungoverned.
@@ -118,8 +114,8 @@ impl<'a> ParallelEngine<'a> {
         }
     }
 
-    /// Attach a shared fragment cache; columnar slice kernels probe and
-    /// publish scan fragments through it.
+    /// Attach a shared fragment cache; slice kernels probe and publish
+    /// scan fragments through it.
     pub fn with_fragments(
         mut self,
         fragments: Arc<crate::sharing::FragmentCache>,
@@ -349,7 +345,7 @@ impl<'a> ParallelEngine<'a> {
         });
         let first_err: Mutex<Option<OrcaError>> = Mutex::new(None);
         let merged_stats: Mutex<ExecStats> = Mutex::new(ExecStats::default());
-        let root_out: Mutex<Vec<Option<StreamSet>>> = Mutex::new((0..n).map(|_| None).collect());
+        let root_out: Mutex<Vec<Option<ColStream>>> = Mutex::new((0..n).map(|_| None).collect());
         // Per-slice timing maxima over gang instances, in nanoseconds.
         let wall_ns: Vec<AtomicU64> = sliced.slices.iter().map(|_| AtomicU64::new(0)).collect();
         let compute_ns: Vec<AtomicU64> = sliced.slices.iter().map(|_| AtomicU64::new(0)).collect();
@@ -382,7 +378,6 @@ impl<'a> ParallelEngine<'a> {
                         rxs,
                         result_tx,
                         batch_rows: self.cfg.batch_rows,
-                        columnar: self.cfg.columnar,
                         abort,
                         gate: &gate,
                         pool: &pool,
@@ -416,17 +411,17 @@ impl<'a> ParallelEngine<'a> {
         abort.check()?;
 
         // Assembly (coordinator only): stitch locally parked streams and
-        // remotely shipped result streams back into the full StreamSet.
+        // remotely shipped result streams back into one n-slot stream.
         // Each instance's clock lands in its segment's `avail` slot, so
         // `sim_seconds` — the max over slots — reproduces the serial
         // engine's bit for bit.
         let mut sim_seconds = 0.0;
         let rows = if me == 0 {
             let streams = root_out.into_inner().unwrap();
-            let mut combined = StreamSet::empty(Vec::new(), n);
+            let mut combined = ColStream::empty(Vec::new(), n);
             for (s, stream) in streams.into_iter().enumerate() {
                 let stream = match stream {
-                    Some(ss) => ss,
+                    Some(cs) => cs,
                     None => match &result_rxs[s] {
                         Some(rx) => read_result(rx, abort)?,
                         None => {
@@ -442,7 +437,7 @@ impl<'a> ParallelEngine<'a> {
                 combined.per_seg[s] = stream.per_seg.into_iter().next().unwrap_or_default();
             }
             sim_seconds = combined.elapsed();
-            project_output(&combined, output_cols)?
+            project_output_col(&combined, output_cols)?
         } else {
             Vec::new()
         };
@@ -508,7 +503,6 @@ struct TaskCtx<'env> {
     /// the coordinator through this instead of `root_out`.
     result_tx: Option<MsgSender>,
     batch_rows: usize,
-    columnar: bool,
     abort: &'env Arc<AbortSignal>,
     gate: &'env ComputeGate,
     pool: &'env Arc<BatchPool>,
@@ -517,20 +511,9 @@ struct TaskCtx<'env> {
     mem: &'env Option<Arc<crate::memory::MemoryTracker>>,
     counters: &'env [MotionCounters],
     merged_stats: &'env Mutex<ExecStats>,
-    root_out: &'env Mutex<Vec<Option<StreamSet>>>,
+    root_out: &'env Mutex<Vec<Option<ColStream>>>,
     wall_ns: &'env [AtomicU64],
     compute_ns: &'env [AtomicU64],
-}
-
-/// A task's kernel output, in whichever form the configured kernel
-/// produced it (conversion is deferred to the shipping/parking site).
-enum TaskOut {
-    Col(ColStream),
-    Rows(StreamSet),
-    /// A spool slice's materialized CTE, extracted from the kernel's
-    /// stash (the slice's nominal output stream is discarded, exactly as
-    /// `Sequence` discards its producer child's output).
-    Spool(SpoolPayload),
 }
 
 fn run_task(task: &TaskCtx<'_>) -> Result<()> {
@@ -564,7 +547,7 @@ fn run_task(task: &TaskCtx<'_>) -> Result<()> {
     task.abort.check()?;
     let slot = task.gate.acquire();
     let t_compute = Instant::now();
-    let (out, stats) = if task.columnar {
+    let (out, stats) = {
         let mut ctx =
             ExecCtx::for_segment_columnar(task.db, task.seg, delivered, task.abort.clone());
         if let Some(m) = task.mem {
@@ -577,93 +560,46 @@ fn run_task(task: &TaskCtx<'_>) -> Result<()> {
         for (id, p) in &spooled {
             ctx.cte_col.insert(*id, p.to_colstream());
         }
+        // A spool slice's output is its materialized CTE, taken from the
+        // kernel's stash (the slice's nominal output stream is discarded,
+        // exactly as `Sequence` discards its producer child's output).
         let out = cexec(&task.slice.root, &mut ctx).and_then(|cs| match task.slice.spool_output {
-            None => Ok(TaskOut::Col(cs)),
-            Some(id) => {
-                let stash = ctx.cte_col.remove(&id).ok_or_else(|| {
-                    OrcaError::Execution(format!("spool slice did not materialize {id}"))
-                })?;
-                Ok(TaskOut::Spool(SpoolPayload::from_colstream(stash)))
-            }
-        });
-        (out, ctx.stats)
-    } else {
-        let rows_in: FnvHashMap<usize, StreamSet> = delivered
-            .into_iter()
-            .map(|(m, cs)| (m, cs.to_streamset()))
-            .collect();
-        let mut ctx = ExecCtx::for_segment(task.db, task.seg, rows_in, task.abort.clone());
-        if let Some(m) = task.mem {
-            ctx.mem = Arc::clone(m);
-        }
-        for (id, p) in &spooled {
-            ctx.cte.insert(*id, p.to_colstream().to_streamset());
-        }
-        let out = exec(&task.slice.root, &mut ctx).and_then(|ss| match task.slice.spool_output {
-            None => Ok(TaskOut::Rows(ss)),
-            Some(id) => {
-                let stash = ctx.cte.remove(&id).ok_or_else(|| {
-                    OrcaError::Execution(format!("spool slice did not materialize {id}"))
-                })?;
-                Ok(TaskOut::Spool(SpoolPayload::from_colstream(
-                    ColStream::from_streamset(&stash, task.batch_rows),
-                )))
-            }
+            None => Ok(cs),
+            Some(id) => ctx.cte_col.remove(&id).ok_or_else(|| {
+                OrcaError::Execution(format!("spool slice did not materialize {id}"))
+            }),
         });
         (out, ctx.stats)
     };
     let compute = t_compute.elapsed().as_nanos() as u64;
     drop(slot);
     merge_stats(&mut task.merged_stats.lock().unwrap(), &stats);
-    let out = out?;
     // Phase 3 — publish (spool slices), ship (sender slices), or park
     // (the root slice).
-    match out {
-        TaskOut::Spool(payload) => {
-            // spool_output is Some by construction of TaskOut::Spool.
-            let id = task.slice.spool_output.unwrap();
-            task.spool.publish(id, task.seg, payload);
+    let cs = out?;
+    match (task.slice.spool_output, &task.txs, task.slice.output) {
+        (Some(id), ..) => task
+            .spool
+            .publish(id, task.seg, SpoolPayload::from_colstream(cs)),
+        (None, Some(txs), Some(m)) => {
+            let kind = &task.sliced.motions[m].kind;
+            send_stream(
+                kind,
+                cs,
+                task.seg,
+                txs,
+                task.batch_rows,
+                task.abort,
+                &task.counters[m],
+                task.pool,
+                task.sliced.motions[m].key_pos.as_deref(),
+            )?;
         }
-        out => match (&task.txs, task.slice.output) {
-            (Some(txs), Some(m)) => {
-                let kind = &task.sliced.motions[m].kind;
-                let cs = match out {
-                    TaskOut::Col(cs) => cs,
-                    TaskOut::Rows(ss) => ColStream::from_streamset(&ss, task.batch_rows),
-                    TaskOut::Spool(_) => unreachable!(),
-                };
-                send_stream(
-                    kind,
-                    cs,
-                    task.seg,
-                    txs,
-                    task.batch_rows,
-                    task.abort,
-                    &task.counters[m],
-                    task.pool,
-                    task.sliced.motions[m].key_pos.as_deref(),
-                )?;
-            }
-            _ => match &task.result_tx {
-                // A root instance on a worker peer: ship the finished
-                // stream home over the reserved result motion.
-                Some(tx) => {
-                    let cs = match out {
-                        TaskOut::Col(cs) => cs,
-                        TaskOut::Rows(ss) => ColStream::from_streamset(&ss, task.batch_rows),
-                        TaskOut::Spool(_) => unreachable!(),
-                    };
-                    ship_result(tx, cs, task.abort)?;
-                }
-                None => {
-                    let ss = match out {
-                        TaskOut::Col(cs) => cs.to_streamset(),
-                        TaskOut::Rows(ss) => ss,
-                        TaskOut::Spool(_) => unreachable!(),
-                    };
-                    task.root_out.lock().unwrap()[task.seg] = Some(ss);
-                }
-            },
+        _ => match &task.result_tx {
+            // A root instance on a worker peer: ship the finished
+            // stream home over the reserved result motion.
+            Some(tx) => ship_result(tx, cs, task.abort)?,
+            None => task.root_out.lock().unwrap()[task.seg] = Some(cs),
         },
     }
     task.compute_ns[task.slice.id].fetch_max(compute, Ordering::Relaxed);
@@ -777,7 +713,7 @@ fn ship_result(tx: &MsgSender, cs: ColStream, abort: &AbortSignal) -> Result<()>
 
 /// Coordinator-side counterpart of [`ship_result`]: rebuild the remote
 /// instance's single-slot stream, clock included.
-fn read_result(rx: &MsgReceiver, abort: &AbortSignal) -> Result<StreamSet> {
+fn read_result(rx: &MsgReceiver, abort: &AbortSignal) -> Result<ColStream> {
     let (layout, avail, replicated) = match rx.recv(abort)? {
         Msg::Open {
             layout,
@@ -791,19 +727,19 @@ fn read_result(rx: &MsgReceiver, abort: &AbortSignal) -> Result<StreamSet> {
             ))
         }
     };
-    let mut ss = StreamSet::empty(layout, 1);
-    ss.avail[0] = avail;
-    ss.replicated = replicated;
+    let mut cs = ColStream::empty(layout, 1);
+    cs.avail[0] = avail;
+    cs.replicated = replicated;
     loop {
         match rx.recv(abort)? {
-            Msg::Batch(b) => b.to_rows(&mut ss.per_seg[0]),
+            Msg::Batch(b) => cs.per_seg[0].push(b),
             Msg::Eos => break,
             Msg::Open { .. } => {
                 return Err(OrcaError::Net("duplicate Open on result stream".into()))
             }
         }
     }
-    Ok(ss)
+    Ok(cs)
 }
 
 fn merge_stats(into: &mut ExecStats, from: &ExecStats) {
@@ -951,42 +887,35 @@ mod tests {
         PhysicalPlan::new(PhysicalOp::Motion { kind }, vec![child])
     }
 
-    /// Assert the parallel engine matches the serial engine byte for byte
-    /// at several worker counts — through both the row and the columnar
-    /// kernel — and return the last parallel result. The simulated
-    /// cluster clock must match bit for bit too: the interconnect
-    /// replays the serial motion-cost formulas from the wire headers.
+    /// Assert the parallel engine matches the serial row oracle byte for
+    /// byte at several worker counts and return the last parallel result.
+    /// The simulated cluster clock must match bit for bit too: the
+    /// interconnect replays the serial motion-cost formulas from the wire
+    /// headers.
     fn assert_identical(db: &Database, plan: &PhysicalPlan, out_cols: &[ColId]) -> ParallelResult {
         let serial = ExecEngine::new(db).run(plan, out_cols).unwrap();
         let mut last = None;
-        for columnar in [false, true] {
-            for workers in [1, 2, 4] {
-                let cfg = ParallelConfig {
-                    workers,
-                    batch_rows: 7, // deliberately odd, exercises batching
-                    channel_capacity: 2,
-                    deadline: None,
-                    columnar,
-                    net: NetConfig::default(),
-                };
-                let par = ParallelEngine::with_config(db, cfg)
-                    .run(plan, out_cols)
-                    .unwrap();
-                assert_eq!(
-                    par.rows, serial.rows,
-                    "workers={workers} columnar={columnar} diverged"
-                );
-                assert_eq!(
-                    par.parallel.sim_seconds.to_bits(),
-                    serial.sim_seconds.to_bits(),
-                    "workers={workers} columnar={columnar} sim clock diverged: \
-                     parallel {} vs serial {}",
-                    par.parallel.sim_seconds,
-                    serial.sim_seconds,
-                );
-                assert_eq!(par.parallel.net, crate::net::NetStats::default());
-                last = Some(par);
-            }
+        for workers in [1, 2, 4] {
+            let cfg = ParallelConfig {
+                workers,
+                batch_rows: 7, // deliberately odd, exercises batching
+                channel_capacity: 2,
+                deadline: None,
+                net: NetConfig::default(),
+            };
+            let par = ParallelEngine::with_config(db, cfg)
+                .run(plan, out_cols)
+                .unwrap();
+            assert_eq!(par.rows, serial.rows, "workers={workers} diverged");
+            assert_eq!(
+                par.parallel.sim_seconds.to_bits(),
+                serial.sim_seconds.to_bits(),
+                "workers={workers} sim clock diverged: parallel {} vs serial {}",
+                par.parallel.sim_seconds,
+                serial.sim_seconds,
+            );
+            assert_eq!(par.parallel.net, crate::net::NetStats::default());
+            last = Some(par);
         }
         last.unwrap()
     }
@@ -1027,7 +956,7 @@ mod tests {
 
     /// The distributed gang over loopback TCP produces byte-identical
     /// rows and a bit-equal simulated clock vs the in-process
-    /// interconnect — across peer counts, worker counts, and kernels —
+    /// interconnect and the serial oracle — across peer and worker counts —
     /// with zero connect retries on a healthy cluster.
     #[test]
     fn loopback_tcp_matches_in_process() {
@@ -1056,46 +985,48 @@ mod tests {
         let out_cols = [ColId(0), ColId(2)];
         let serial = ExecEngine::new(&db).run(&plan, &out_cols).unwrap();
         let mut query_id = 100;
-        for columnar in [false, true] {
-            for workers in [1, 2, 4] {
-                for npeers in [2, 3] {
-                    let cfg = ParallelConfig {
-                        workers,
-                        batch_rows: 7,
-                        channel_capacity: 2,
-                        columnar,
-                        ..ParallelConfig::default()
-                    };
-                    let inproc = ParallelEngine::with_config(&db, cfg.clone())
-                        .run(&plan, &out_cols)
-                        .unwrap();
-                    query_id += 1;
-                    let mut results = run_loopback(&db, &plan, &out_cols, npeers, &cfg, query_id);
-                    let tag = format!("workers={workers} columnar={columnar} peers={npeers}");
-                    for r in &results[1..] {
-                        let r = r.as_ref().expect("worker peer failed");
-                        assert!(r.rows.is_empty(), "{tag}: worker returned rows");
-                    }
-                    let coord = results.remove(0).expect("coordinator failed");
-                    assert_eq!(coord.rows, serial.rows, "{tag}: rows diverged");
-                    assert_eq!(coord.rows, inproc.rows, "{tag}: net vs in-process rows");
-                    assert_eq!(
-                        coord.parallel.sim_seconds.to_bits(),
-                        inproc.parallel.sim_seconds.to_bits(),
-                        "{tag}: sim clock diverged over TCP"
-                    );
-                    assert!(!coord.parallel.serial_fallback, "{tag}: serial fallback");
-                    assert_eq!(coord.parallel.net.reconnects, 0, "{tag}: reconnects");
-                    assert!(
-                        coord.parallel.net.remote_edges > 0,
-                        "{tag}: no remote edges on a {npeers}-peer topology"
-                    );
-                    assert!(coord.parallel.net.frames_tx > 0, "{tag}: no frames sent");
-                    assert!(
-                        coord.parallel.net.open_rtt_max_seconds > 0.0,
-                        "{tag}: open RTT not measured"
-                    );
+        for workers in [1, 2, 4] {
+            for npeers in [2, 3] {
+                let cfg = ParallelConfig {
+                    workers,
+                    batch_rows: 7,
+                    channel_capacity: 2,
+                    ..ParallelConfig::default()
+                };
+                let inproc = ParallelEngine::with_config(&db, cfg.clone())
+                    .run(&plan, &out_cols)
+                    .unwrap();
+                query_id += 1;
+                let mut results = run_loopback(&db, &plan, &out_cols, npeers, &cfg, query_id);
+                let tag = format!("workers={workers} peers={npeers}");
+                for r in &results[1..] {
+                    let r = r.as_ref().expect("worker peer failed");
+                    assert!(r.rows.is_empty(), "{tag}: worker returned rows");
                 }
+                let coord = results.remove(0).expect("coordinator failed");
+                assert_eq!(coord.rows, serial.rows, "{tag}: rows diverged");
+                assert_eq!(coord.rows, inproc.rows, "{tag}: net vs in-process rows");
+                assert_eq!(
+                    coord.parallel.sim_seconds.to_bits(),
+                    serial.sim_seconds.to_bits(),
+                    "{tag}: sim clock diverged from the serial oracle"
+                );
+                assert_eq!(
+                    coord.parallel.sim_seconds.to_bits(),
+                    inproc.parallel.sim_seconds.to_bits(),
+                    "{tag}: sim clock diverged over TCP"
+                );
+                assert!(!coord.parallel.serial_fallback, "{tag}: serial fallback");
+                assert_eq!(coord.parallel.net.reconnects, 0, "{tag}: reconnects");
+                assert!(
+                    coord.parallel.net.remote_edges > 0,
+                    "{tag}: no remote edges on a {npeers}-peer topology"
+                );
+                assert!(coord.parallel.net.frames_tx > 0, "{tag}: no frames sent");
+                assert!(
+                    coord.parallel.net.open_rtt_max_seconds > 0.0,
+                    "{tag}: open RTT not measured"
+                );
             }
         }
     }
@@ -1339,7 +1270,7 @@ mod tests {
     }
 
     /// Cross-slice CTE runs through the shared spool — no serial
-    /// fallback, byte-identical rows at every worker count and kernel.
+    /// fallback, byte-identical rows at every worker count.
     #[test]
     fn cross_slice_cte_runs_through_the_spool() {
         let (db, t1, _, _) = db();
@@ -1398,7 +1329,6 @@ mod tests {
             batch_rows: 1,
             channel_capacity: 1,
             deadline: None,
-            columnar: true,
             net: NetConfig::default(),
         };
         let engine = ParallelEngine::with_config(&db, cfg);
@@ -1450,7 +1380,6 @@ mod tests {
                     batch_rows: 1,
                     channel_capacity: 1,
                     deadline: None,
-                    columnar: i % 8 < 4,
                     net: NetConfig::default(),
                 };
                 let abort = Arc::new(AbortSignal::new());
@@ -1513,7 +1442,6 @@ mod tests {
                 batch_rows: 1,
                 channel_capacity: 1,
                 deadline: None,
-                columnar: i % 8 < 4,
                 net: NetConfig::default(),
             };
             let err = ParallelEngine::with_config(&db, cfg)
@@ -1552,7 +1480,6 @@ mod tests {
             batch_rows: 1,
             channel_capacity: 1,
             deadline: Some(Duration::from_nanos(1)),
-            columnar: true,
             net: NetConfig::default(),
         };
         let err = ParallelEngine::with_config(&db, cfg)

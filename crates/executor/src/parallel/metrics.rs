@@ -41,10 +41,10 @@ pub struct ParallelStats {
     /// Compute-phase parallelism the run was configured with.
     pub workers: usize,
     pub num_slices: usize,
-    /// Historical flag: the plan could not be sliced and ran on the
-    /// serial engine instead. Cross-slice CTEs — the last trigger — now
-    /// run through the shared spool, so this is always `false`; it is
-    /// kept so bench output can assert the invariant.
+    /// Always `false`: every plan is sliced (cross-slice CTEs run through
+    /// the shared spool) and every slice runs on the columnar kernel, so
+    /// no run falls back to the serial engine. Kept because `e2e_bench`
+    /// reads it (`executor.parallel.serial_fallbacks`).
     pub serial_fallback: bool,
     /// Hoisted cross-slice CTE producer slices in this plan (each one
     /// materialized its CTE exactly once per segment into the shared

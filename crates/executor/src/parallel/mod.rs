@@ -7,8 +7,9 @@
 //!
 //! * [`slice`] cuts a physical plan at every Motion into a DAG of
 //!   **slices**; each slice is instantiated once per segment (a *gang*),
-//!   and each instance runs the unmodified serial interpreter in
-//!   single-segment mode (see [`crate::exec::ExecCtx`]).
+//!   and each instance runs the columnar kernel ([`crate::columnar`]) in
+//!   single-segment mode (see [`crate::exec::ExecCtx`]). The row
+//!   interpreter runs whole plans only, as the serial oracle.
 //! * [`interconnect`] moves **columnar batches** between gangs over
 //!   bounded channels — Gather, GatherMerge (true streaming k-way merge
 //!   at the receiver), Redistribute (hash fan-out into per-destination

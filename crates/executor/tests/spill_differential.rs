@@ -1,6 +1,6 @@
 //! Differential spill tests: the row kernel is the oracle, and every
-//! other execution mode — columnar, streaming cursor, parallel at 1/2/4
-//! workers through either kernel — must agree with it *byte for byte*
+//! other execution mode — columnar, streaming cursor through either
+//! kernel, parallel at 1/2/4 workers — must agree with it *byte for byte*
 //! whether operators run in memory or spill to disk.
 //!
 //! The matrix runs each plan at three working-memory settings:
@@ -11,8 +11,8 @@
 //!
 //! Beyond row identity, the serial kernels must agree on the simulated
 //! clock bit-for-bit and on every spill counter, and the parallel engine
-//! must reproduce the serial spill counters exactly at every worker
-//! count — spilling is deterministic, not best-effort.
+//! must reproduce the serial clock and spill counters exactly at every
+//! worker count — spilling is deterministic, not best-effort.
 
 use orca_catalog::{ColumnMeta, Distribution, TableDesc};
 use orca_common::{ColId, DataType, Datum, MdId, SegmentConfig, SysId};
@@ -191,36 +191,38 @@ fn assert_differential(db: &Arc<Database>, plan: &PhysicalPlan, out: &[ColId]) -
         );
     }
 
-    for columnar in [false, true] {
-        for workers in [1, 2, 4] {
-            let cfg = ParallelConfig {
-                workers,
-                batch_rows: 7,
-                channel_capacity: 2,
-                columnar,
-                ..ParallelConfig::default()
-            };
-            let par = ParallelEngine::with_config(db, cfg).run(plan, out).unwrap();
-            let tag = format!("parallel workers={workers} columnar={columnar}");
-            assert_eq!(par.rows, oracle.rows, "{tag}: rows diverged");
-            assert_eq!(par.stats.spills, oracle.stats.spills, "{tag}: spills");
-            assert_eq!(
-                par.stats.spill_partitions, oracle.stats.spill_partitions,
-                "{tag}: spill_partitions"
-            );
-            assert_eq!(
-                par.stats.spill_bytes_written, oracle.stats.spill_bytes_written,
-                "{tag}: spill_bytes_written"
-            );
-            assert_eq!(
-                par.stats.spill_bytes_read, oracle.stats.spill_bytes_read,
-                "{tag}: spill_bytes_read"
-            );
-            assert_eq!(
-                par.stats.peak_mem_bytes, oracle.stats.peak_mem_bytes,
-                "{tag}: peak_mem_bytes"
-            );
-        }
+    for workers in [1, 2, 4] {
+        let cfg = ParallelConfig {
+            workers,
+            batch_rows: 7,
+            channel_capacity: 2,
+            ..ParallelConfig::default()
+        };
+        let par = ParallelEngine::with_config(db, cfg).run(plan, out).unwrap();
+        let tag = format!("parallel workers={workers}");
+        assert_eq!(par.rows, oracle.rows, "{tag}: rows diverged");
+        assert_eq!(
+            par.parallel.sim_seconds.to_bits(),
+            oracle.sim_seconds.to_bits(),
+            "{tag}: sim clock diverged"
+        );
+        assert_eq!(par.stats.spills, oracle.stats.spills, "{tag}: spills");
+        assert_eq!(
+            par.stats.spill_partitions, oracle.stats.spill_partitions,
+            "{tag}: spill_partitions"
+        );
+        assert_eq!(
+            par.stats.spill_bytes_written, oracle.stats.spill_bytes_written,
+            "{tag}: spill_bytes_written"
+        );
+        assert_eq!(
+            par.stats.spill_bytes_read, oracle.stats.spill_bytes_read,
+            "{tag}: spill_bytes_read"
+        );
+        assert_eq!(
+            par.stats.peak_mem_bytes, oracle.stats.peak_mem_bytes,
+            "{tag}: peak_mem_bytes"
+        );
     }
     oracle
 }

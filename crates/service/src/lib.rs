@@ -140,8 +140,10 @@ pub struct ExecuteConfig {
     pub channel_capacity: usize,
     /// Per-query execution deadline.
     pub deadline: Option<Duration>,
-    /// Run kernels through the vectorized columnar engine (`false` =
-    /// row-at-a-time interpretation; results are byte-identical).
+    /// Serial runs (`parallel: false`) only: stream through the
+    /// vectorized columnar kernel (`false` = the row-at-a-time oracle;
+    /// results are byte-identical). Parallel runs ignore it: every gang
+    /// slice runs the columnar kernel.
     pub columnar: bool,
 }
 
@@ -167,7 +169,6 @@ impl ExecuteConfig {
         cfg.batch_rows = self.batch_rows;
         cfg.channel_capacity = self.channel_capacity;
         cfg.deadline = self.deadline;
-        cfg.columnar = self.columnar;
         cfg
     }
 }
@@ -1318,6 +1319,46 @@ mod tests {
         assert!(st.fragment_bytes > 0);
         assert_eq!(st.fragment_entries, st.fragments_inserted);
         assert_eq!(st.fragment_evictions, 0);
+    }
+
+    #[test]
+    fn parallel_runs_ignore_the_columnar_flag() {
+        use orca_common::{Datum, SegmentConfig};
+
+        let p = provider_with_tables(2);
+        let mut db = Database::new(SegmentConfig::default());
+        for name in ["t0", "t1"] {
+            let desc = p.table(p.table_by_name(name).unwrap()).unwrap();
+            let rows = (0..20i64)
+                .map(|i| vec![Datum::Int(i % 7), Datum::Int(i * 2)])
+                .collect();
+            db.load_table(desc, rows).unwrap();
+        }
+        let db = Arc::new(db);
+        let q = two_table_query(&p);
+        let run = |execute: ExecuteConfig| {
+            let svc = Service::new(
+                p.clone(),
+                ServiceConfig {
+                    execute: Some(execute),
+                    ..ServiceConfig::default()
+                },
+            );
+            svc.attach_database(Arc::clone(&db));
+            let s = svc.open_session();
+            let exec = svc.submit_query(s, &q, None).unwrap().response.execution;
+            let exec = exec.expect("executed");
+            assert!(exec.parallel.is_some(), "the gang must run");
+            exec.rows
+        };
+        let pinned_row = run(ExecuteConfig {
+            parallel: true,
+            columnar: false,
+            ..ExecuteConfig::default()
+        });
+        let default = run(ExecuteConfig::default());
+        assert!(!default.is_empty());
+        assert_eq!(pinned_row, default);
     }
 
     fn two_table_query_single(svc: &Service) -> DxlQuery {

@@ -227,7 +227,7 @@ proptest! {
 
     /// For random optimized plans: row-serial rows == columnar-serial
     /// rows at batch sizes 1, 7 and 1024 (byte-identical, simulated time
-    /// bit-equal) == parallel rows through both kernels at 1, 2 and 4
+    /// bit-equal) == parallel rows and simulated time at 1, 2 and 4
     /// compute workers, and the multiset agrees with the reference
     /// interpreter. The fixture is null-heavy (every 19th value is NULL)
     /// so null bitmaps and NULL join keys are exercised throughout. Odd
@@ -259,27 +259,29 @@ proptest! {
                 batch_size
             );
         }
-        for columnar in [false, true] {
-            for workers in [1usize, 2, 4] {
-                let engine = ParallelEngine::with_config(&fx.db, ParallelConfig {
-                    workers,
-                    batch_rows: 7,
-                    channel_capacity: 2,
-                    deadline: None,
-                    columnar,
-                    ..ParallelConfig::default()
-                });
-                let par = engine.run(&plan, &output).expect("parallel");
-                prop_assert_eq!(
-                    &par.rows,
-                    &serial.rows,
-                    "parallel({}, columnar={}) != serial\nspec {:?}\nplan:\n{}",
-                    workers,
-                    columnar,
-                    spec,
-                    orca_expr::pretty::explain_physical(&plan)
-                );
-            }
+        for workers in [1usize, 2, 4] {
+            let engine = ParallelEngine::with_config(&fx.db, ParallelConfig {
+                workers,
+                batch_rows: 7,
+                channel_capacity: 2,
+                deadline: None,
+                ..ParallelConfig::default()
+            });
+            let par = engine.run(&plan, &output).expect("parallel");
+            prop_assert_eq!(
+                &par.rows,
+                &serial.rows,
+                "parallel({}) != serial\nspec {:?}\nplan:\n{}",
+                workers,
+                spec,
+                orca_expr::pretty::explain_physical(&plan)
+            );
+            prop_assert_eq!(
+                par.parallel.sim_seconds.to_bits(),
+                serial.sim_seconds.to_bits(),
+                "parallel({}) simulated clock diverged",
+                workers
+            );
         }
         let expected = run_reference(&fx.db, &expr, &output).expect("reference");
         prop_assert_eq!(sort_rows(serial.rows), sort_rows(expected));
@@ -313,21 +315,22 @@ fn empty_streams_are_identical_across_kernels() {
         assert_eq!(col.rows, serial.rows);
         assert_eq!(col.sim_seconds.to_bits(), serial.sim_seconds.to_bits());
     }
-    for columnar in [false, true] {
-        let engine = ParallelEngine::with_config(
-            &fx.db,
-            ParallelConfig {
-                workers: 2,
-                batch_rows: 7,
-                channel_capacity: 2,
-                deadline: None,
-                columnar,
-                ..ParallelConfig::default()
-            },
-        );
-        let par = engine.run(&plan, &output).expect("parallel");
-        assert_eq!(par.rows, serial.rows, "columnar={columnar}");
-    }
+    let engine = ParallelEngine::with_config(
+        &fx.db,
+        ParallelConfig {
+            workers: 2,
+            batch_rows: 7,
+            channel_capacity: 2,
+            deadline: None,
+            ..ParallelConfig::default()
+        },
+    );
+    let par = engine.run(&plan, &output).expect("parallel");
+    assert_eq!(par.rows, serial.rows);
+    assert_eq!(
+        par.parallel.sim_seconds.to_bits(),
+        serial.sim_seconds.to_bits()
+    );
 }
 
 /// A deliberately motion-heavy plan: two redistributes and a gather over
@@ -362,7 +365,6 @@ fn mid_query_abort_drains_without_deadlock() {
             batch_rows: 1,
             channel_capacity: 1,
             deadline: None,
-            columnar: true,
             ..ParallelConfig::default()
         },
     );
@@ -394,7 +396,6 @@ fn deadline_under_backpressure_times_out_cleanly() {
             batch_rows: 1,
             channel_capacity: 1,
             deadline: Some(Duration::ZERO),
-            columnar: true,
             ..ParallelConfig::default()
         },
     );
@@ -417,8 +418,8 @@ fn deadline_under_backpressure_times_out_cleanly() {
 // Cross-slice CTE spooling: hand-built physical shapes whose producer
 // and consumers land in different slices. These used to drop the whole
 // query to the serial engine; now they must run through the shared
-// spool — byte-identically, with zero fallbacks — on both kernels at
-// every worker count.
+// spool — byte-identically, with zero fallbacks — at every worker
+// count.
 // ---------------------------------------------------------------------
 
 /// Leaf scan of fixture table `dt{t}` with output ids starting at `first`.
@@ -454,8 +455,8 @@ fn mot(kind: MotionKind, child: PhysicalPlan) -> PhysicalPlan {
     PhysicalPlan::new(PhysicalOp::Motion { kind }, vec![child])
 }
 
-/// Row-serial oracle vs the parallel engine through both kernels at 1, 2
-/// and 4 workers: byte-identical rows, zero serial fallbacks, and the
+/// Row-serial oracle vs the parallel engine at 1, 2 and 4 workers:
+/// byte-identical rows and simulated time, zero serial fallbacks, and the
 /// expected number of spool slices. Returns the last run's stats.
 fn assert_spooled_identical(
     plan: &PhysicalPlan,
@@ -465,32 +466,34 @@ fn assert_spooled_identical(
     let fx = fixture();
     let serial = ExecEngine::new(&fx.db).run(plan, output).expect("serial");
     let mut last = None;
-    for columnar in [false, true] {
-        for workers in [1usize, 2, 4] {
-            let engine = ParallelEngine::with_config(
-                &fx.db,
-                ParallelConfig {
-                    workers,
-                    batch_rows: 7,
-                    channel_capacity: 2,
-                    deadline: None,
-                    columnar,
-                    ..ParallelConfig::default()
-                },
-            );
-            let par = engine.run(plan, output).expect("parallel");
-            assert_eq!(
-                par.rows, serial.rows,
-                "workers={workers} columnar={columnar} diverged from serial"
-            );
-            assert!(
-                !par.parallel.serial_fallback,
-                "cross-slice CTE must spool, not fall back to serial"
-            );
-            assert_eq!(par.parallel.cte_spools, expect_spools);
-            assert!(par.parallel.spool_rows > 0, "spool must carry rows");
-            last = Some(par.parallel);
-        }
+    for workers in [1usize, 2, 4] {
+        let engine = ParallelEngine::with_config(
+            &fx.db,
+            ParallelConfig {
+                workers,
+                batch_rows: 7,
+                channel_capacity: 2,
+                deadline: None,
+                ..ParallelConfig::default()
+            },
+        );
+        let par = engine.run(plan, output).expect("parallel");
+        assert_eq!(
+            par.rows, serial.rows,
+            "workers={workers} diverged from serial"
+        );
+        assert_eq!(
+            par.parallel.sim_seconds.to_bits(),
+            serial.sim_seconds.to_bits(),
+            "workers={workers} simulated clock diverged from serial"
+        );
+        assert!(
+            !par.parallel.serial_fallback,
+            "cross-slice CTE must spool, not fall back to serial"
+        );
+        assert_eq!(par.parallel.cte_spools, expect_spools);
+        assert!(par.parallel.spool_rows > 0, "spool must carry rows");
+        last = Some(par.parallel);
     }
     last.unwrap()
 }
@@ -608,7 +611,6 @@ fn tiny_interconnect_window_still_completes() {
             batch_rows: 1,
             channel_capacity: 1,
             deadline: Some(Duration::from_secs(60)),
-            columnar: true,
             ..ParallelConfig::default()
         },
     );
@@ -741,8 +743,8 @@ proptest! {
     /// Zone-pruned scans ≡ unpruned: for random prunable predicates over
     /// the chunked fixture, the fused columnar scan (batch sizes 1, 7,
     /// 1024 — below and above the 16-row chunk size) and the parallel
-    /// engine at 1/2/4 workers through both kernels all reproduce the
-    /// row-serial oracle byte for byte, with a bit-equal simulated clock.
+    /// engine at 1/2/4 workers all reproduce the row-serial oracle byte
+    /// for byte, with a bit-equal simulated clock.
     #[test]
     fn zone_pruned_scan_equals_unpruned(conjs in zconj_strategy()) {
         let (db, _) = zone_fixture();
@@ -766,23 +768,26 @@ proptest! {
                 batch_size, conjs
             );
         }
-        for columnar in [false, true] {
-            for workers in [1usize, 2, 4] {
-                let engine = ParallelEngine::with_config(db, ParallelConfig {
-                    workers,
-                    batch_rows: 7,
-                    channel_capacity: 2,
-                    deadline: None,
-                    columnar,
-                    ..ParallelConfig::default()
-                });
-                let par = engine.run(&plan, &output).expect("parallel");
-                prop_assert_eq!(
-                    &par.rows, &serial.rows,
-                    "parallel({}, columnar={}) != serial for {:?}",
-                    workers, columnar, conjs
-                );
-            }
+        for workers in [1usize, 2, 4] {
+            let engine = ParallelEngine::with_config(db, ParallelConfig {
+                workers,
+                batch_rows: 7,
+                channel_capacity: 2,
+                deadline: None,
+                ..ParallelConfig::default()
+            });
+            let par = engine.run(&plan, &output).expect("parallel");
+            prop_assert_eq!(
+                &par.rows, &serial.rows,
+                "parallel({}) != serial for {:?}",
+                workers, conjs
+            );
+            prop_assert_eq!(
+                par.parallel.sim_seconds.to_bits(),
+                serial.sim_seconds.to_bits(),
+                "parallel({}) simulated clock diverged for {:?}",
+                workers, conjs
+            );
         }
     }
 }

@@ -9,6 +9,7 @@
 //! must reproduce the row kernel's rows in order.
 
 use orca::engine::{Optimizer, OptimizerConfig, QueryReqs};
+use orca_catalog::MemoryProvider;
 use orca_common::{ColId, SegmentConfig};
 use orca_executor::engine::sort_rows;
 use orca_executor::reference::run_reference;
@@ -17,23 +18,56 @@ use orca_executor::{
     ParallelEngine, Row,
 };
 use orca_expr::physical::PhysicalPlan;
+use orca_expr::LogicalExpr;
 use orca_planner::{EngineProfile, LegacyPlanner};
 use orca_tpcds::{build_catalog, suite};
-use std::sync::{Arc, OnceLock};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 const SCALE: f64 = 0.02;
 const SEGMENTS: usize = 4;
 
+fn cluster() -> SegmentConfig {
+    SegmentConfig::default().with_segments(SEGMENTS)
+}
+
+/// The suite's catalog and data, generated once and shared read-only by
+/// every test in this binary.
+fn catalog() -> &'static (Arc<MemoryProvider>, Database) {
+    static CATALOG: OnceLock<(Arc<MemoryProvider>, Database)> = OnceLock::new();
+    CATALOG.get_or_init(|| build_catalog(SCALE, cluster()))
+}
+
+/// The reference interpreter's rows for suite query `id`, computed once
+/// and shared by every test in this binary: binding the same SQL always
+/// yields the same tree, and the naive interpretation of a few suite
+/// queries takes seconds each in a debug build.
+fn reference_rows(id: &str, expr: &LogicalExpr, output_cols: &[ColId]) -> Vec<Row> {
+    type Cells = Mutex<HashMap<String, Arc<OnceLock<Vec<Row>>>>>;
+    static ROWS: OnceLock<Cells> = OnceLock::new();
+    let cell = Arc::clone(
+        ROWS.get_or_init(Cells::default)
+            .lock()
+            .unwrap()
+            .entry(id.to_string())
+            .or_default(),
+    );
+    cell.get_or_init(|| {
+        run_reference(&catalog().1, expr, output_cols)
+            .unwrap_or_else(|e| panic!("{id} reference: {e}"))
+    })
+    .clone()
+}
+
 #[test]
 fn all_111_queries_orca_vs_reference() {
-    let cluster = SegmentConfig::default().with_segments(SEGMENTS);
-    let (provider, db) = build_catalog(SCALE, cluster.clone());
-    let engine = ExecEngine::new(&db);
+    let (provider, db) = catalog();
+    let engine = ExecEngine::new(db);
     let optimizer = Optimizer::new(
         provider.clone(),
         OptimizerConfig::default()
             .with_workers(2)
-            .with_cluster(cluster),
+            .with_cluster(cluster()),
     );
     let mut checked = 0;
     for q in suite() {
@@ -56,8 +90,7 @@ fn all_111_queries_orca_vs_reference() {
                 orca_expr::pretty::explain_physical(&plan)
             )
         });
-        let expected = run_reference(&db, &bound.expr, &bound.output_cols)
-            .unwrap_or_else(|e| panic!("{} reference: {e}", q.id));
+        let expected = reference_rows(&q.id, &bound.expr, &bound.output_cols);
         // LIMIT without full ORDER BY is nondeterministic in which rows
         // survive; compare counts there, exact multisets otherwise.
         let deterministic = !q.sql.to_lowercase().contains("limit")
@@ -87,9 +120,8 @@ fn all_111_queries_orca_vs_reference() {
 
 #[test]
 fn legacy_planner_agrees_on_results() {
-    let cluster = SegmentConfig::default().with_segments(SEGMENTS);
-    let (provider, db) = build_catalog(SCALE, cluster);
-    let engine = ExecEngine::new(&db);
+    let (provider, db) = catalog();
+    let engine = ExecEngine::new(db);
     let cache = orca_catalog::MdCache::new();
     // Legacy plans run the same queries; results must match the reference
     // even though the plans are worse. Sample every 4th query to bound
@@ -116,7 +148,7 @@ fn legacy_planner_agrees_on_results() {
                 orca_expr::pretty::explain_physical(&plan)
             )
         });
-        let expected = run_reference(&db, &bound.expr, &bound.output_cols).expect(&q.id);
+        let expected = reference_rows(&q.id, &bound.expr, &bound.output_cols);
         let deterministic = !q.sql.to_lowercase().contains("limit")
             || bound.order.0.len() >= bound.output_cols.len();
         if deterministic {
@@ -135,10 +167,10 @@ fn legacy_planner_agrees_on_results() {
 
 #[test]
 fn rival_planners_agree_on_supported_queries() {
-    let (provider, db) = build_catalog(SCALE, SegmentConfig::default().with_segments(SEGMENTS));
+    let (provider, db) = catalog();
     // Run with generous memory so plans succeed (the OOM behavior is a
     // benchmark concern, not a correctness one).
-    let engine = ExecEngine::new(&db);
+    let engine = ExecEngine::new(db);
     for profile in [
         EngineProfile::impala(),
         EngineProfile::presto(),
@@ -162,7 +194,7 @@ fn rival_planners_agree_on_supported_queries() {
                     orca_expr::pretty::explain_physical(&plan)
                 )
             });
-            let expected = run_reference(&db, &bound.expr, &bound.output_cols).expect(&q.id);
+            let expected = reference_rows(&q.id, &bound.expr, &bound.output_cols);
             let deterministic = !q.sql.to_lowercase().contains("limit")
                 || bound.order.0.len() >= bound.output_cols.len();
             if deterministic {
@@ -197,19 +229,18 @@ struct Executable {
 
 /// The first [`EXEC_CORPUS`] suite queries, planned and run once on the
 /// row kernel, shared by the execution-mode tests.
-fn executable_corpus() -> &'static (Database, Vec<Executable>) {
-    static CORPUS: OnceLock<(Database, Vec<Executable>)> = OnceLock::new();
-    CORPUS.get_or_init(|| {
-        let cluster = SegmentConfig::default().with_segments(SEGMENTS);
-        let (provider, db) = build_catalog(SCALE, cluster.clone());
+fn executable_corpus() -> (&'static Database, &'static [Executable]) {
+    static CORPUS: OnceLock<Vec<Executable>> = OnceLock::new();
+    let (provider, db) = catalog();
+    let corpus = CORPUS.get_or_init(|| {
         let optimizer = Optimizer::new(
             provider.clone(),
             OptimizerConfig::default()
                 .with_workers(2)
-                .with_cluster(cluster),
+                .with_cluster(cluster()),
         );
-        let engine = ExecEngine::new(&db);
-        let corpus = suite()
+        let engine = ExecEngine::new(db);
+        suite()
             .into_iter()
             .take(EXEC_CORPUS)
             .map(|q| {
@@ -231,9 +262,9 @@ fn executable_corpus() -> &'static (Database, Vec<Executable>) {
                     oracle,
                 }
             })
-            .collect();
-        (db, corpus)
-    })
+            .collect()
+    });
+    (db, corpus)
 }
 
 /// Rows in the oracle's order and a bit-equal simulated clock.
@@ -269,28 +300,25 @@ fn first_suite_queries_identical_in_every_execution_mode() {
     // The corpus carries selective range scans: zone maps must drop a chunk.
     assert!(chunks_skipped > 0, "zone maps skipped no chunk");
 
-    for columnar in [false, true] {
-        for workers in WORKER_LEVELS {
-            let engine = ParallelEngine::with_config(
-                db,
-                ParallelConfig {
-                    workers,
-                    columnar,
-                    ..ParallelConfig::default()
-                },
+    for workers in WORKER_LEVELS {
+        let engine = ParallelEngine::with_config(
+            db,
+            ParallelConfig {
+                workers,
+                ..ParallelConfig::default()
+            },
+        );
+        let mode = format!("parallel, {workers} workers");
+        for q in corpus {
+            let res = engine.run(&q.plan, &q.output_cols).expect(&q.id);
+            assert_matches_oracle(q, &mode, &res.rows, res.parallel.sim_seconds);
+            // Cross-slice CTEs run through the shared spool, so any
+            // fallback to the serial engine is a slicing bug.
+            assert!(
+                !res.parallel.serial_fallback,
+                "{} ({mode}): fell back",
+                q.id
             );
-            let mode = format!("parallel, {workers} workers, columnar={columnar}");
-            for q in corpus {
-                let res = engine.run(&q.plan, &q.output_cols).expect(&q.id);
-                assert_matches_oracle(q, &mode, &res.rows, res.parallel.sim_seconds);
-                // Cross-slice CTEs run through the shared spool, so any
-                // fallback to the serial engine is a slicing bug.
-                assert!(
-                    !res.parallel.serial_fallback,
-                    "{} ({mode}): fell back",
-                    q.id
-                );
-            }
         }
     }
 
@@ -350,23 +378,20 @@ fn first_suite_queries_spill_identically_under_1kib_work_mem() {
         check(q, "columnar", &res.stats, &res.rows);
         assert_eq!(spill_counters(&res.stats), *spilled, "{} (columnar)", q.id);
     }
-    for columnar in [false, true] {
-        for workers in WORKER_LEVELS {
-            let mut engine = ParallelEngine::with_config(
-                &db,
-                ParallelConfig {
-                    workers,
-                    columnar,
-                    ..ParallelConfig::default()
-                },
-            );
-            engine.mem = Some(grant());
-            let mode = format!("parallel, {workers} workers, columnar={columnar}");
-            for (q, spilled) in corpus.iter().zip(&row_spills) {
-                let res = engine.run(&q.plan, &q.output_cols).expect(&q.id);
-                check(q, &mode, &res.stats, &res.rows);
-                assert_eq!(spill_counters(&res.stats), *spilled, "{} ({mode})", q.id);
-            }
+    for workers in WORKER_LEVELS {
+        let mut engine = ParallelEngine::with_config(
+            &db,
+            ParallelConfig {
+                workers,
+                ..ParallelConfig::default()
+            },
+        );
+        engine.mem = Some(grant());
+        let mode = format!("parallel, {workers} workers");
+        for (q, spilled) in corpus.iter().zip(&row_spills) {
+            let res = engine.run(&q.plan, &q.output_cols).expect(&q.id);
+            check(q, &mode, &res.stats, &res.rows);
+            assert_eq!(spill_counters(&res.stats), *spilled, "{} ({mode})", q.id);
         }
     }
 }
