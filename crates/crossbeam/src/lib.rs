@@ -1,135 +1,13 @@
 //! Offline shim for the `crossbeam` crate (the build environment has no
-//! crates.io access). Two surfaces are provided: `crossbeam::deque` (the
-//! GPOS scheduler's work-distribution queues) and `crossbeam::channel`
-//! (the bounded batch channels of the parallel executor's interconnect).
+//! crates.io access). One surface is provided: `crossbeam::channel`, the
+//! bounded batch channels of the parallel executor's interconnect.
 //!
-//! The implementation favours simplicity over the lock-free Chase–Lev
-//! algorithm of the real crate: each queue is a `Mutex<VecDeque>`. The
-//! scheduler's jobs are coarse enough (rule binding, costing) that queue
-//! transfer time is noise; fairness and the `Steal` protocol (including
-//! `steal_batch_and_pop` moving half the injector backlog to the local
-//! queue) are preserved so the scheduler code runs unchanged. Likewise
-//! the channels move row *batches*, so a Mutex+Condvar ring is far from
-//! the bottleneck. Only untimed blocking `send`/`recv` exist, with
+//! The implementation favours simplicity over the lock-free algorithms of
+//! the real crate: each channel is a `Mutex<VecDeque>` ring with two
+//! Condvars. The channels move row *batches*, so the lock is far from the
+//! bottleneck. Only untimed blocking `send`/`recv` exist, with
 //! `crossbeam-channel`'s disconnect semantics, plus a `Closer` that
 //! disconnects a channel on demand (how an abort wakes a blocked end).
-
-pub mod deque {
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex};
-
-    /// Result of a steal attempt, mirroring `crossbeam::deque::Steal`.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Steal<T> {
-        Empty,
-        Success(T),
-        Retry,
-    }
-
-    type Shared<T> = Arc<Mutex<VecDeque<T>>>;
-
-    fn locked<T, R>(q: &Shared<T>, f: impl FnOnce(&mut VecDeque<T>) -> R) -> R {
-        f(&mut q.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// A worker-owned FIFO queue other threads can steal from.
-    pub struct Worker<T> {
-        q: Shared<T>,
-    }
-
-    impl<T> Worker<T> {
-        pub fn new_fifo() -> Worker<T> {
-            Worker {
-                q: Arc::new(Mutex::new(VecDeque::new())),
-            }
-        }
-
-        pub fn push(&self, item: T) {
-            locked(&self.q, |q| q.push_back(item));
-        }
-
-        pub fn pop(&self) -> Option<T> {
-            locked(&self.q, |q| q.pop_front())
-        }
-
-        pub fn is_empty(&self) -> bool {
-            locked(&self.q, |q| q.is_empty())
-        }
-
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer { q: self.q.clone() }
-        }
-    }
-
-    /// A handle for stealing from another worker's queue.
-    pub struct Stealer<T> {
-        q: Shared<T>,
-    }
-
-    impl<T> Stealer<T> {
-        pub fn steal(&self) -> Steal<T> {
-            match locked(&self.q, |q| q.pop_front()) {
-                Some(item) => Steal::Success(item),
-                None => Steal::Empty,
-            }
-        }
-    }
-
-    impl<T> Clone for Stealer<T> {
-        fn clone(&self) -> Stealer<T> {
-            Stealer { q: self.q.clone() }
-        }
-    }
-
-    /// The global injection queue shared by all workers.
-    pub struct Injector<T> {
-        q: Mutex<VecDeque<T>>,
-    }
-
-    impl<T> Injector<T> {
-        #[allow(clippy::new_without_default)]
-        pub fn new() -> Injector<T> {
-            Injector {
-                q: Mutex::new(VecDeque::new()),
-            }
-        }
-
-        pub fn push(&self, item: T) {
-            self.q
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push_back(item);
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.q.lock().unwrap_or_else(|e| e.into_inner()).is_empty()
-        }
-
-        pub fn steal(&self) -> Steal<T> {
-            match self.q.lock().unwrap_or_else(|e| e.into_inner()).pop_front() {
-                Some(item) => Steal::Success(item),
-                None => Steal::Empty,
-            }
-        }
-
-        /// Move up to half the backlog into `dest`'s queue and pop one item.
-        pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-            let mut batch = {
-                let mut q = self.q.lock().unwrap_or_else(|e| e.into_inner());
-                if q.is_empty() {
-                    return Steal::Empty;
-                }
-                let take = q.len().div_ceil(2).min(32);
-                q.drain(..take).collect::<VecDeque<T>>()
-            };
-            let first = batch.pop_front().expect("non-empty batch");
-            if !batch.is_empty() {
-                locked(&dest.q, |q| q.extend(batch));
-            }
-            Steal::Success(first)
-        }
-    }
-}
 
 pub mod channel {
     //! Bounded channels with one sender and one receiver each, mirroring
@@ -371,58 +249,5 @@ mod channel_tests {
         closer.close();
         assert!(h.join().unwrap());
         drop(tx);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::deque::{Injector, Steal, Worker};
-
-    #[test]
-    fn fifo_and_steal_protocol() {
-        let w: Worker<u32> = Worker::new_fifo();
-        w.push(1);
-        w.push(2);
-        assert_eq!(w.pop(), Some(1));
-        let s = w.stealer();
-        assert_eq!(s.steal(), Steal::Success(2));
-        assert_eq!(s.steal(), Steal::Empty);
-    }
-
-    #[test]
-    fn injector_batch_moves_work() {
-        let inj: Injector<u32> = Injector::new();
-        for i in 0..10 {
-            inj.push(i);
-        }
-        let w = Worker::new_fifo();
-        assert_eq!(inj.steal_batch_and_pop(&w), Steal::Success(0));
-        // Half the backlog (5 items) moved; first was popped, 4 remain local.
-        assert_eq!(w.pop(), Some(1));
-        assert!(!inj.is_empty());
-    }
-
-    #[test]
-    fn cross_thread_stealing() {
-        let w: Worker<u32> = Worker::new_fifo();
-        for i in 0..100 {
-            w.push(i);
-        }
-        let s = w.stealer();
-        let total: u32 = std::thread::scope(|scope| {
-            let h = scope.spawn(move || {
-                let mut n = 0;
-                while let Steal::Success(_) = s.steal() {
-                    n += 1;
-                }
-                n
-            });
-            let mut n = 0;
-            while w.pop().is_some() {
-                n += 1;
-            }
-            n + h.join().unwrap()
-        });
-        assert_eq!(total, 100);
     }
 }
