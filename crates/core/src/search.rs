@@ -57,44 +57,38 @@ pub struct SearchCtx<'a> {
 type Sched<'a> = Scheduler<SearchCtx<'a>, GoalKey>;
 type Handle<'h, 'a> = JobHandle<'h, SearchCtx<'a>, GoalKey>;
 
-/// Run the exploration phase from the root group (step 1 of §4.1) on the
-/// full worker pool.
+/// Run the exploration phase from the root group (step 1 of §4.1).
 ///
-/// Exploration is fully parallel. When a transformation output targeted at
-/// group `g` collides with an identical sub-expression spelled standalone,
-/// the duplicate-detection index proves the two groups logically
-/// equivalent and the Memo *merges* them (§4.2, `Memo::merge`) — so the
-/// insertion race that once forced this phase onto one worker no longer
-/// decides where a shape lives. Determinism now comes from confluence:
-/// whatever order insertions and merges interleave in, exploration is run
-/// to a fixpoint (below) whose final memo content is the closure of the
-/// initial memo under the enabled rules — identical across worker counts
-/// up to group-id renaming.
+/// When a transformation output targeted at group `g` collides with an
+/// identical sub-expression spelled standalone, the duplicate-detection
+/// index proves the two groups logically equivalent and the Memo *merges*
+/// them (§4.2, `Memo::merge`). Exploration is run to a fixpoint (below)
+/// whose final memo content is the closure of the initial memo under the
+/// enabled rules, whatever order insertions and merges happen in.
 ///
 /// The fixpoint: a merge can enlarge a group AFTER a deep rule (one whose
 /// pattern binds into child-group contents, e.g. join associativity)
 /// already fired on some parent expression, leaving bindings unseen — and
-/// *which* bindings were missed depends on thread timing. So after every
+/// *which* bindings were missed depends on job order. So after every
 /// pass in which the merge counter advanced, the driver re-arms exactly
 /// the deep rules (`Memo::reset_exploration`) and runs another pass.
 /// Shallow rules stay fired: their output depends only on their own
 /// expression and is invariant under child re-canonicalization. Each pass
 /// either merges nothing (done) or permanently reduces the number of
 /// canonical groups, so the loop terminates.
-pub fn explore(ctx: &SearchCtx<'_>, root: GroupId, workers: usize) -> Result<()> {
-    explore_with_deadline(ctx, root, workers, None).map(|_| ())
+pub fn explore(ctx: &SearchCtx<'_>, root: GroupId) -> Result<()> {
+    explore_with_deadline(ctx, root, None).map(|_| ())
 }
 
 /// Exploration with an optional stage deadline (§4.1 multi-stage).
 /// Returns after the merge-confluence fixpoint is reached, or `Ok(true)`
 /// when the deadline expired first: a timed-out pass leaves a *consistent*
 /// memo (every id resolves, every inserted expression is complete — jobs
-/// finish their current step before workers observe the abort), it is just
+/// finish their current step before the scheduler observes the abort), it is just
 /// not closed under the rule set. Only hard errors propagate as `Err`.
 pub fn explore_with_deadline(
     ctx: &SearchCtx<'_>,
     root: GroupId,
-    workers: usize,
     deadline: Option<std::time::Instant>,
 ) -> Result<bool> {
     let deep = ctx.rules.deep_exploration_indices();
@@ -104,7 +98,7 @@ pub fn explore_with_deadline(
         if let Some(d) = deadline {
             sched.abort_signal().set_deadline(d);
         }
-        match sched.run(ctx, vec![Box::new(ExploreGroupJob { gid: root })], workers) {
+        match sched.run(ctx, vec![Box::new(ExploreGroupJob { gid: root })]) {
             Ok(()) => {}
             Err(OrcaError::Timeout(_)) => return Ok(true),
             Err(e) => return Err(e),
@@ -124,8 +118,8 @@ pub fn explore_with_deadline(
 }
 
 /// Run the implementation phase (step 3 of §4.1).
-pub fn implement(ctx: &SearchCtx<'_>, root: GroupId, workers: usize) -> Result<()> {
-    implement_with_deadline(ctx, root, workers, None).map(|_| ())
+pub fn implement(ctx: &SearchCtx<'_>, root: GroupId) -> Result<()> {
+    implement_with_deadline(ctx, root, None).map(|_| ())
 }
 
 /// Implementation with an optional stage deadline. Returns `Ok(true)` when
@@ -133,18 +127,13 @@ pub fn implement(ctx: &SearchCtx<'_>, root: GroupId, workers: usize) -> Result<(
 pub fn implement_with_deadline(
     ctx: &SearchCtx<'_>,
     root: GroupId,
-    workers: usize,
     deadline: Option<std::time::Instant>,
 ) -> Result<bool> {
     let sched: Sched<'_> = Scheduler::new();
     if let Some(d) = deadline {
         sched.abort_signal().set_deadline(d);
     }
-    match sched.run(
-        ctx,
-        vec![Box::new(ImplementGroupJob { gid: root })],
-        workers,
-    ) {
+    match sched.run(ctx, vec![Box::new(ImplementGroupJob { gid: root })]) {
         Ok(()) => Ok(false),
         Err(OrcaError::Timeout(_)) => Ok(true),
         Err(e) => Err(e),
@@ -167,13 +156,8 @@ pub struct SearchRunStats {
 
 /// Run the optimization phase for the root request (step 4 of §4.1).
 /// Returns scheduler statistics for the §7.2.2 report.
-pub fn optimize(
-    ctx: &SearchCtx<'_>,
-    root: GroupId,
-    req: &ReqdProps,
-    workers: usize,
-) -> Result<SearchRunStats> {
-    optimize_with_deadline(ctx, root, req, workers, None)
+pub fn optimize(ctx: &SearchCtx<'_>, root: GroupId, req: &ReqdProps) -> Result<SearchRunStats> {
+    optimize_with_deadline(ctx, root, req, None)
 }
 
 /// Optimization with an optional stage deadline.
@@ -181,7 +165,6 @@ pub fn optimize_with_deadline(
     ctx: &SearchCtx<'_>,
     root: GroupId,
     req: &ReqdProps,
-    workers: usize,
     deadline: Option<std::time::Instant>,
 ) -> Result<SearchRunStats> {
     let sched: Sched<'_> = Scheduler::new();
@@ -197,7 +180,6 @@ pub fn optimize_with_deadline(
             rid,
             spawned: false,
         })],
-        workers,
     ) {
         Ok(()) => false,
         Err(OrcaError::Timeout(_)) => true,
@@ -816,7 +798,7 @@ mod tests {
         (provider, registry, join)
     }
 
-    fn run_search(workers: usize) -> (Memo, GroupId, ReqdProps, Arc<ColumnRegistry>) {
+    fn run_search() -> (Memo, GroupId, ReqdProps, Arc<ColumnRegistry>) {
         let (provider, registry, join) = setup();
         let md = MdAccessor::new(MdCache::new(), provider);
         let memo = Memo::new();
@@ -830,7 +812,7 @@ mod tests {
             md: &md,
             cost: &cost,
         };
-        explore(&ctx, root, workers).unwrap();
+        explore(&ctx, root).unwrap();
         StatsDeriver::new(&memo, &md, &registry, 16)
             .derive(root)
             .unwrap();
@@ -840,15 +822,15 @@ mod tests {
                 .derive(g)
                 .unwrap();
         }
-        implement(&ctx, root, workers).unwrap();
+        implement(&ctx, root).unwrap();
         let req = ReqdProps::singleton(OrderSpec::by(&[ColId(0)]));
-        optimize(&ctx, root, &req, workers).unwrap();
+        optimize(&ctx, root, &req).unwrap();
         (memo, root, req, registry)
     }
 
     #[test]
     fn running_example_full_search() {
-        let (memo, root, req, _) = run_search(1);
+        let (memo, root, req, _) = run_search();
         // Exploration added the commuted join (Figure 6 shows both
         // [1,2] and [2,1] plus hash/NL implementations).
         let group = memo.group(root);
@@ -870,46 +852,46 @@ mod tests {
 
     #[test]
     fn parallel_search_matches_serial_cost() {
-        // Exploration now runs on the full worker pool (no serial pin), so
-        // the 4-worker run exercises concurrent exploration end to end.
-        let (memo1, root1, req, _) = run_search(1);
-        let (memo4, root4, req4, _) = run_search(4);
+        // Two searches of one query share no state but the inputs, so
+        // every difference below is nondeterminism in the search.
+        let (memo1, root1, req, _) = run_search();
+        let (memo2, root2, req2, _) = run_search();
         let rid1 = memo1.intern_req(&req);
-        let rid4 = memo4.intern_req(&req4);
+        let rid2 = memo2.intern_req(&req2);
         let c1 = memo1.group(root1).read().best_for(rid1).unwrap().cost;
-        let c4 = memo4.group(root4).read().best_for(rid4).unwrap().cost;
+        let c2 = memo2.group(root2).read().best_for(rid2).unwrap().cost;
         assert!(
-            (c1 - c4).abs() < 1e-9,
-            "parallel and serial optimization must agree: {c1} vs {c4}"
+            (c1 - c2).abs() < 1e-9,
+            "two searches must agree: {c1} vs {c2}"
         );
         // Confluence: both runs must converge on the same memo content —
         // same number of canonical groups and live expressions.
         assert_eq!(
             memo1.num_canonical_groups(),
-            memo4.num_canonical_groups(),
-            "serial and parallel exploration reached different group counts"
+            memo2.num_canonical_groups(),
+            "two explorations reached different group counts"
         );
-        assert_eq!(memo1.num_exprs(), memo4.num_exprs());
+        assert_eq!(memo1.num_exprs(), memo2.num_exprs());
         // Equal cost is necessary but not sufficient: the deterministic
         // tie-break must make the *extracted plans* structurally identical
         // even though group/expr ids differ between the two runs.
         let p1 = crate::extract::extract_plan(&memo1, root1, &req).unwrap();
-        let p4 = crate::extract::extract_plan(&memo4, root4, &req4).unwrap();
+        let p2 = crate::extract::extract_plan(&memo2, root2, &req2).unwrap();
         assert_eq!(
             p1,
-            p4,
-            "serial plan:\n{}\nparallel plan:\n{}",
+            p2,
+            "first plan:\n{}\nsecond plan:\n{}",
             orca_expr::pretty::explain_physical(&p1),
-            orca_expr::pretty::explain_physical(&p4)
+            orca_expr::pretty::explain_physical(&p2)
         );
         // Both memos pass the dedup/directory cross-check.
         memo1.check_integrity().unwrap();
-        memo4.check_integrity().unwrap();
+        memo2.check_integrity().unwrap();
     }
 
     #[test]
     fn plan_extraction_linkage() {
-        let (memo, root, req, _) = run_search(2);
+        let (memo, root, req, _) = run_search();
         let plan = crate::extract::extract_plan(&memo, root, &req).unwrap();
         // Shape: GatherMerge/Gather+Sort at top; hash join below; exactly
         // one Redistribute (T2 is hashed on a, the join needs b).

@@ -309,13 +309,12 @@ mod sched_props {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Random job graphs complete (no deadlock, no lost wakeups) and
-        /// every goal runs exactly once, at any worker count.
+        /// every goal runs exactly once.
         #[test]
         fn random_job_graphs_complete(
             shape in prop::collection::vec((any::<bool>(), 0u64..6), 1..4),
             depth in 1u8..4,
             roots in 1usize..6,
-            workers in prop::sample::select(vec![1usize, 2, 8]),
         ) {
             let sched: Scheduler<Ctx, u64> = Scheduler::new();
             let ctx = Ctx {
@@ -331,7 +330,7 @@ mod sched_props {
                     }) as Box<dyn Job<Ctx, u64>>
                 })
                 .collect();
-            sched.run(&ctx, jobs, workers).expect("completes");
+            sched.run(&ctx, jobs).expect("completes");
             // Distinct goals requested ≤ 6; each ran at most once, and at
             // least once if any root requests goals.
             let distinct_goals: std::collections::HashSet<u64> = shape
