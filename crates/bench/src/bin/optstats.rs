@@ -31,7 +31,6 @@ fn main() {
             ("goalhit", 8),
             ("pruned", 7),
             ("dd_hit", 7),
-            ("dd_col", 7),
             ("memo_KB", 8),
             ("md_KB", 7),
         ])
@@ -69,7 +68,6 @@ fn main() {
                         (&stats.goal_hits.to_string(), 8),
                         (&stats.search.contexts_pruned.to_string(), 7),
                         (&stats.search.dedup_hits.to_string(), 7),
-                        (&stats.search.dedup_shard_collisions.to_string(), 7),
                         (&format!("{}", stats.memo_bytes / 1024), 8),
                         (&format!("{}", stats.metadata_bytes / 1024), 7),
                     ])

@@ -286,6 +286,13 @@ mod tests {
         // Replay *without* the live provider reproduces the same plan.
         let replayed = replay_as_test(&loaded).unwrap();
         assert_eq!(replayed, plan);
+        // Dumps from before the dedup-shard knob was removed carry a
+        // `dedup_shards` key; it is no longer written, and replay ignores it.
+        assert!(dump.config.iter().all(|(k, _)| k != "dedup_shards"));
+        let mut old = loaded;
+        old.config.push(("dedup_shards".into(), "4".into()));
+        save(&old, &path).unwrap();
+        assert_eq!(replay_as_test(&load(&path).unwrap()).unwrap(), plan);
         std::fs::remove_file(&path).ok();
     }
 

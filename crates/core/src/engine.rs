@@ -50,10 +50,6 @@ pub struct OptimizerConfig {
     /// Testing hook (§6.1): raise an injected fault at the named point
     /// ("explore", "implement", "optimize").
     pub inject_fault: Option<&'static str>,
-    /// Shards in the Memo's duplicate-detection index (rounded up to a
-    /// power of two; 1 serializes every insert, useful for exercising the
-    /// shard-collision counter in tests).
-    pub dedup_shards: usize,
 }
 
 impl Default for OptimizerConfig {
@@ -65,7 +61,6 @@ impl Default for OptimizerConfig {
             stages: Vec::new(),
             disabled_rules: Vec::new(),
             inject_fault: None,
-            dedup_shards: crate::memo::DEDUP_SHARDS,
         }
     }
 }
@@ -81,17 +76,11 @@ impl OptimizerConfig {
         self
     }
 
-    pub fn with_dedup_shards(mut self, shards: usize) -> OptimizerConfig {
-        self.dedup_shards = shards.max(1);
-        self
-    }
-
     /// Serialize to key/value pairs for AMPERe dumps.
     pub fn to_kv(&self) -> Vec<(String, String)> {
         let mut kv = vec![
             ("workers".into(), self.workers.to_string()),
             ("segments".into(), self.cluster.num_segments.to_string()),
-            ("dedup_shards".into(), self.dedup_shards.to_string()),
         ];
         for r in &self.disabled_rules {
             kv.push(("disabled_rule".into(), (*r).to_string()));
@@ -111,7 +100,6 @@ impl OptimizerConfig {
                 "segments" => {
                     cfg.cluster.num_segments = v.parse().unwrap_or(cfg.cluster.num_segments)
                 }
-                "dedup_shards" => cfg.dedup_shards = v.parse().unwrap_or(cfg.dedup_shards),
                 _ => {}
             }
         }
@@ -157,7 +145,7 @@ pub struct OptStats {
     pub optimize_time: Duration,
     pub plan_cost: f64,
     pub stages_run: usize,
-    /// Memo-level search counters (dedup hits, shard collisions, pruned
+    /// Memo-level search counters (dedup hits, merges, pruned
     /// contexts, ...) from the winning stage.
     pub search: SearchMetricsSnapshot,
     /// Distinct metadata ids (version included) accessed during
@@ -342,7 +330,7 @@ impl Optimizer {
             let _ = rules.disable(r);
         }
         let cost = CostModel::new(self.config.cost_params.clone(), self.config.cluster.clone());
-        let memo = Memo::with_shards(self.config.dedup_shards);
+        let memo = Memo::new();
         let root = memo.copy_in(&preprocessed);
         let ctx = SearchCtx {
             memo: &memo,
@@ -390,7 +378,7 @@ impl Optimizer {
             (a, b) => a.or(b),
         };
         let cost = CostModel::new(self.config.cost_params.clone(), self.config.cluster.clone());
-        let memo = Memo::with_shards(self.config.dedup_shards);
+        let memo = Memo::new();
         let root = memo.copy_in(expr);
         let ctx = SearchCtx {
             memo: &memo,

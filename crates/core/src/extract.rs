@@ -21,9 +21,9 @@ use orca_expr::physical::PhysicalPlan;
 /// `gid` may be any member of its §4.2 merge equivalence class —
 /// `Memo::group` resolves it to the canonical group. The candidate's
 /// expression id is trusted directly: `Memo::add_candidate` re-resolves
-/// ids under the merge gate when recording, and no merge can run after
-/// the optimization phase (its only inserts are self-referential
-/// enforcers), so recorded ids cannot go stale by extraction time.
+/// ids when recording, and no merge can run after the optimization phase
+/// (its only inserts are self-referential enforcers), so recorded ids
+/// cannot go stale by extraction time.
 pub fn extract_plan(memo: &Memo, gid: GroupId, req: &ReqdProps) -> Result<PhysicalPlan> {
     extract_by_id(memo, gid, memo.intern_req(req))
 }
@@ -32,8 +32,7 @@ pub fn extract_plan(memo: &Memo, gid: GroupId, req: &ReqdProps) -> Result<Physic
 /// requests stays in `ReqId` space.
 pub fn extract_by_id(memo: &Memo, gid: GroupId, rid: ReqId) -> Result<PhysicalPlan> {
     let (op, children, child_reqs, enforcers) = {
-        let group = memo.group(gid);
-        let g = group.read();
+        let g = memo.group(gid);
         let cand = g.best_for(rid).ok_or_else(|| {
             let req = memo.req_props(rid);
             OrcaError::NoPlan(format!("no plan for request {req} in group {gid}"))
@@ -66,8 +65,7 @@ pub fn extract_by_id(memo: &Memo, gid: GroupId, rid: ReqId) -> Result<PhysicalPl
 /// The estimated cost of the best plan for `(group, req)`.
 pub fn best_cost(memo: &Memo, gid: GroupId, req: &ReqdProps) -> Result<f64> {
     let rid = memo.intern_req(req);
-    let group = memo.group(gid);
-    let g = group.read();
+    let g = memo.group(gid);
     g.best_for(rid)
         .map(|c| c.cost)
         .ok_or_else(|| OrcaError::NoPlan(format!("no plan for request {req} in group {gid}")))

@@ -1,4 +1,4 @@
-//! The parallel search engine (§4.2).
+//! The search engine (§4.2).
 //!
 //! "Optimization process is broken to small work units called optimization
 //! jobs. Orca currently has seven different types of optimization jobs:
@@ -11,6 +11,12 @@
 //! optimizing the same `(group, request)` pair — are deduplicated through
 //! the scheduler's goal queues, exactly as §4.2 describes ("incoming jobs
 //! are queued as long as there exists an active job with the same goal").
+//!
+//! One search owns its [`Memo`] and [`Scheduler`]: every job steps on the
+//! thread that runs the phase, so jobs read and write the Memo through
+//! short borrows and need no locks. Ids a suspended job captured can still
+//! go stale when a merge runs in between, so jobs re-resolve them
+//! (`Memo::resolve_expr`) at every step.
 //!
 //! Costing applies Cascades-style branch-and-bound: `Opt(g, req)` seeds
 //! each `Opt(gexpr, req)` job with the cost of the context's incumbent
@@ -149,8 +155,8 @@ pub struct SearchRunStats {
     /// Goal requests deduplicated against an active or finished job.
     pub goal_hits: usize,
     /// The phase's deadline expired before the job graph drained; whatever
-    /// contexts were completed by then are valid (candidates are recorded
-    /// atomically, after full costing), but the search is not exhaustive.
+    /// contexts were completed by then are valid (a candidate is recorded
+    /// only after full costing), but the search is not exhaustive.
     pub timed_out: bool,
 }
 
@@ -213,9 +219,9 @@ impl<'a> Job<SearchCtx<'a>, GoalKey> for ExploreGroupJob {
         }
         // Loop until no expression is left unexplored: transformations add
         // new expressions to this group while we wait, and merges migrate
-        // whole expression sets in. The gate-held accessor re-resolves the
-        // canonical group on every step — `self.gid` may have become a
-        // drained shell since the job was spawned.
+        // whole expression sets in. `with_group` re-resolves the canonical
+        // group on every step — `self.gid` may have become a drained shell
+        // since the job was spawned.
         let (gid, to_spawn) = ctx.memo.with_group(self.gid, |gid, g| {
             let ids: Vec<ExprId> = g
                 .exprs
@@ -302,11 +308,11 @@ fn spawn_xforms<'a>(
     exploration: bool,
 ) {
     let rules = ctx.rules.of_kind(exploration);
-    // Claim the not-yet-applied rules atomically on the expression's LIVE
-    // copy (the `(gid, eid)` captured at spawn time may have been forwarded
-    // by a merge; the gate-held accessor re-resolves it). Claiming under
-    // the expression's group lock keeps each `(expr, rule)` pair fired at
-    // most once even when two jobs race onto the same migrated expression.
+    // Claim the not-yet-applied rules on the expression's LIVE copy (the
+    // `(gid, eid)` captured at spawn time may have been forwarded by a
+    // merge; `with_expr` re-resolves it). Claiming on the live copy keeps
+    // each `(expr, rule)` pair fired at most once even when two jobs reach
+    // the same migrated expression.
     let (gid, eid, fire) = ctx.memo.with_expr(gid, eid, |e| {
         rules
             .into_iter()
@@ -470,8 +476,7 @@ impl<'a> Job<SearchCtx<'a>, GoalKey> for OptimizeGroupJob {
             // ids captured before the implement phase stay valid.
             self.gid = ctx.memo.resolve(self.gid);
             let exprs: Vec<ExprId> = {
-                let group = ctx.memo.group(self.gid);
-                let g = group.read();
+                let g = ctx.memo.group(self.gid);
                 g.physical_exprs().map(|(i, _)| i).collect()
             };
             // Seed the branch-and-bound upper limit from the incumbent
@@ -585,8 +590,8 @@ impl OptimizeExprJob {
 
         // Child-cost fast path: alternatives frequently re-request the same
         // `(child, creq)` context (e.g. `Any` from several join variants).
-        // Memoize the lock-protected `best_for` probe locally so each
-        // distinct context is read once per job.
+        // Memoize the `best_for` probe locally so each distinct context is
+        // read once per job.
         let mut child_best: FnvHashMap<(GroupId, ReqId), Option<(f64, DerivedProps)>> =
             FnvHashMap::default();
 
@@ -610,8 +615,7 @@ impl OptimizeExprJob {
             let mut child_sum = 0.0;
             for (child, &crid) in children.iter().zip(&alt.ids) {
                 let best = child_best.entry((*child, crid)).or_insert_with(|| {
-                    let group = ctx.memo.group(*child);
-                    let g = group.read();
+                    let g = ctx.memo.group(*child);
                     g.best_for(crid).map(|c| (c.cost, c.derived.clone()))
                 });
                 match best {
@@ -833,8 +837,7 @@ mod tests {
         let (memo, root, req, _) = run_search();
         // Exploration added the commuted join (Figure 6 shows both
         // [1,2] and [2,1] plus hash/NL implementations).
-        let group = memo.group(root);
-        let g = group.read();
+        let g = memo.group(root);
         let names: Vec<String> = g.exprs.iter().map(|e| e.op.name()).collect();
         assert!(names.iter().filter(|n| *n == "InnerJoin").count() >= 2);
         assert!(names.iter().any(|n| n == "InnerHashJoin"));
@@ -858,8 +861,8 @@ mod tests {
         let (memo2, root2, req2, _) = run_search();
         let rid1 = memo1.intern_req(&req);
         let rid2 = memo2.intern_req(&req2);
-        let c1 = memo1.group(root1).read().best_for(rid1).unwrap().cost;
-        let c2 = memo2.group(root2).read().best_for(rid2).unwrap().cost;
+        let c1 = memo1.group(root1).best_for(rid1).unwrap().cost;
+        let c2 = memo2.group(root2).best_for(rid2).unwrap().cost;
         assert!(
             (c1 - c2).abs() < 1e-9,
             "two searches must agree: {c1} vs {c2}"

@@ -152,8 +152,7 @@ impl<'a> StatsDeriver<'a> {
         // must not — otherwise estimates (and plan choice) become
         // nondeterministic.
         let candidates: Vec<(u32, LogicalOp, Vec<GroupId>)> = {
-            let group = self.memo.group(gid);
-            let g = group.read();
+            let g = self.memo.group(gid);
             g.logical_exprs()
                 .filter_map(|(_, e)| match &e.op {
                     Operator::Logical(op) => Some((promise(op), op.clone(), e.children.clone())),
@@ -165,7 +164,7 @@ impl<'a> StatsDeriver<'a> {
         for (p, op, children) in candidates {
             let child_cols: Vec<Vec<ColId>> = children
                 .iter()
-                .map(|c| self.memo.group(*c).read().output_cols.clone())
+                .map(|c| self.memo.group(*c).output_cols.clone())
                 .collect();
             let fp = fnv_hash(&(&op, &child_cols));
             let replace = match &best {
@@ -185,8 +184,7 @@ impl<'a> StatsDeriver<'a> {
             .map(|c| self.derive(*c))
             .collect::<Result<_>>()?;
         let stats = Arc::new(self.derive_op(&op, &children, &child_stats)?);
-        let group = self.memo.group(gid);
-        let mut g = group.write();
+        let mut g = self.memo.group_mut(gid);
         if g.stats.is_none() {
             g.stats = Some(stats.clone());
         }

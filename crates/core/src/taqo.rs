@@ -88,8 +88,7 @@ impl<'a> PlanSampler<'a> {
         // Temporarily claim 0 to break any accidental cycles.
         self.counts.insert((gid, rid), 0.0);
         let candidates: Vec<Candidate> = {
-            let group = self.memo.group(gid);
-            let g = group.read();
+            let g = self.memo.group(gid);
             g.ctxs
                 .get(&rid)
                 .map(|c| c.candidates.clone())
@@ -105,8 +104,7 @@ impl<'a> PlanSampler<'a> {
 
     fn candidate_count(&mut self, gid: GroupId, cand: &Candidate) -> f64 {
         let children: Vec<GroupId> = {
-            let group = self.memo.group(gid);
-            let g = group.read();
+            let g = self.memo.group(gid);
             g.exprs[cand.expr].children.clone()
         };
         let mut prod = 1.0;
@@ -145,8 +143,7 @@ impl<'a> PlanSampler<'a> {
     /// over candidates and children).
     fn unrank(&mut self, gid: GroupId, rid: ReqId, mut r: f64) -> Result<SampledPlan> {
         let candidates: Vec<Candidate> = {
-            let group = self.memo.group(gid);
-            let g = group.read();
+            let g = self.memo.group(gid);
             g.ctxs
                 .get(&rid)
                 .map(|c| c.candidates.clone())
@@ -169,8 +166,7 @@ impl<'a> PlanSampler<'a> {
 
     fn build_plan(&mut self, gid: GroupId, cand: &Candidate, mut r: f64) -> Result<SampledPlan> {
         let (op, children) = {
-            let group = self.memo.group(gid);
-            let g = group.read();
+            let g = self.memo.group(gid);
             let e = &g.exprs[cand.expr];
             let Operator::Physical(op) = e.op.clone() else {
                 return Err(OrcaError::Internal("sampled logical expression".into()));
@@ -188,8 +184,7 @@ impl<'a> PlanSampler<'a> {
             let digit = r % c;
             r = (r / c).floor();
             let best_child_cost = {
-                let group = self.memo.group(*child);
-                let g = group.read();
+                let g = self.memo.group(*child);
                 g.best_for(*creq).map(|b| b.cost).unwrap_or(0.0)
             };
             let sampled = self.unrank(*child, *creq, digit)?;

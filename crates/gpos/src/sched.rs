@@ -10,43 +10,45 @@
 //!    called repeatedly; between calls it may be parked.
 //! 2. **Dependency tracking**: children notify suspended parents on
 //!    completion ("a parent job cannot finish before its child jobs
-//!    finish").
+//!    finish"). A job that returns [`StepResult::Done`] with children
+//!    still unfinished is a bug in that job and fails the run.
 //! 3. **Goal deduplication** (the per-group job queues): jobs are
 //!    optionally registered under a *goal* key; a second request for an
 //!    in-flight or finished goal never recomputes — it either links as a
 //!    waiter or returns immediately ("suspended jobs can pick up the
 //!    results of the completed job").
 //!
-//! Threads: [`Scheduler::run`] steps every job on the thread that calls
+//! One owner: [`Scheduler::run`] steps every job on the thread that calls
 //! it, popping one FIFO of runnable jobs in the order they became
 //! runnable, so a search is deterministic. Concurrent searches each run on
-//! their own caller's thread and share no pool. The paper's multi-core
+//! their own caller's thread and share nothing. The paper's multi-core
 //! stepping of one search is not done: on a 2-CPU host a second thread
 //! made every measured search (2- to 7-way joins) 1.3–1.4× slower than
 //! one, as contention on the shared memo outweighs the second core.
 //!
-//! Job states and dependency counters are atomic and the queue, waiter
-//! lists and goal map sit behind small mutexes, as in the concurrent memo
-//! the jobs drive. Queue items are `Arc<JobEntry>` handles, so there is no
-//! global job directory.
+//! Jobs live in an arena owned by the scheduler and are named by their
+//! index. Dependency counts, waiter lists, the queue and the goal map are
+//! plain fields behind one `RefCell` that is never borrowed while a job
+//! steps. The scheduler is `!Sync`, so the compiler, not a lock, keeps a
+//! run on one thread; only its [`AbortSignal`] is shared, so another
+//! thread (or a deadline) can cancel the run.
 //!
-//! The scheduler is generic over a shared context `C` (the optimizer passes
-//! its memo + metadata accessor) and a goal key `K`.
+//! The scheduler is generic over a context `C` (the optimizer passes its
+//! memo + metadata accessor) and a goal key `K`.
 
 use crate::task::AbortSignal;
 use orca_common::hash::FnvHashMap;
 use orca_common::{OrcaError, Result};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Outcome of one [`Job::step`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepResult {
-    /// The job has finished; waiters are notified.
+    /// The job has finished; waiters are notified. Returning this while
+    /// children spawned by the job are unfinished fails the run.
     Done,
     /// The job advanced its state and wants to run again soon.
     Runnable,
@@ -56,7 +58,7 @@ pub enum StepResult {
 }
 
 /// A re-entrant unit of work.
-pub trait Job<C: ?Sized, K>: Send {
+pub trait Job<C: ?Sized, K> {
     /// Execute one step. Use `h` to spawn children; return
     /// [`StepResult::Suspended`] to wait for them.
     fn step(&mut self, h: &JobHandle<'_, C, K>, ctx: &C) -> StepResult;
@@ -67,57 +69,98 @@ pub trait Job<C: ?Sized, K>: Send {
     }
 }
 
-const ST_QUEUED: u8 = 0;
-const ST_RUNNING: u8 = 1;
-const ST_SUSPENDED: u8 = 2;
-const ST_DONE: u8 = 3;
+/// Index of a job in the scheduler's arena.
+type JobId = usize;
 
 struct JobEntry<C: ?Sized, K> {
     /// Present unless running or done.
-    body: Mutex<Option<Box<dyn Job<C, K>>>>,
-    state: AtomicU8,
+    body: Option<Box<dyn Job<C, K>>>,
+    /// Returned `Suspended` and waits for `deps` to reach zero.
+    suspended: bool,
     /// Unfinished children this job waits on.
-    deps: AtomicUsize,
+    deps: usize,
     /// Parents to notify on completion.
-    waiters: Mutex<Vec<Handle<C, K>>>,
+    waiters: Vec<JobId>,
     goal: Option<K>,
 }
 
-type Handle<C, K> = Arc<JobEntry<C, K>>;
-
-enum GoalState<C: ?Sized, K> {
-    Active(Handle<C, K>),
+#[derive(Clone, Copy)]
+enum GoalState {
+    Active(JobId),
     Done,
+}
+
+struct State<C: ?Sized, K> {
+    jobs: Vec<JobEntry<C, K>>,
+    goals: FnvHashMap<K, GoalState>,
+    /// Runnable jobs, in the order they became runnable.
+    queue: VecDeque<JobId>,
+    unfinished: usize,
+    steps: usize,
+    goal_hits: usize,
 }
 
 /// Dependency-aware job scheduler (see module docs).
 pub struct Scheduler<C: ?Sized, K> {
-    goals: Mutex<FnvHashMap<K, GoalState<C, K>>>,
-    /// Runnable jobs, in the order they became runnable.
-    queue: Mutex<VecDeque<Handle<C, K>>>,
-    unfinished: AtomicUsize,
+    state: RefCell<State<C, K>>,
     abort: AbortSignal,
-    steps: AtomicUsize,
-    spawned: AtomicUsize,
-    goal_hits: AtomicUsize,
 }
 
 /// Handle passed to a running job, used to spawn children.
 pub struct JobHandle<'s, C: ?Sized, K> {
     sched: &'s Scheduler<C, K>,
-    me: &'s Handle<C, K>,
+    me: JobId,
 }
 
-impl<C: ?Sized + Sync, K: Hash + Eq + Clone + Send + Sync> Scheduler<C, K> {
+impl<C: ?Sized, K: Hash + Eq> State<C, K> {
+    /// Create a job, make `parent` (if any) wait on it, and queue it.
+    fn push(&mut self, job: Box<dyn Job<C, K>>, goal: Option<K>, parent: Option<JobId>) -> JobId {
+        let id = self.jobs.len();
+        self.jobs.push(JobEntry {
+            body: Some(job),
+            suspended: false,
+            deps: 0,
+            waiters: parent.into_iter().collect(),
+            goal,
+        });
+        if let Some(p) = parent {
+            self.jobs[p].deps += 1;
+        }
+        self.unfinished += 1;
+        self.queue.push_back(id);
+        id
+    }
+
+    /// Mark the finished job's goal done and re-queue every waiter whose
+    /// last dependency this was.
+    fn complete(&mut self, id: JobId) {
+        if let Some(goal) = self.jobs[id].goal.take() {
+            self.goals.insert(goal, GoalState::Done);
+        }
+        for w in std::mem::take(&mut self.jobs[id].waiters) {
+            let we = &mut self.jobs[w];
+            we.deps -= 1;
+            if we.deps == 0 && we.suspended {
+                we.suspended = false;
+                self.queue.push_back(w);
+            }
+        }
+        self.unfinished -= 1;
+    }
+}
+
+impl<C: ?Sized, K: Hash + Eq + Clone> Scheduler<C, K> {
     pub fn new() -> Self {
         Scheduler {
-            goals: Mutex::new(FnvHashMap::default()),
-            queue: Mutex::new(VecDeque::new()),
-            unfinished: AtomicUsize::new(0),
+            state: RefCell::new(State {
+                jobs: Vec::new(),
+                goals: FnvHashMap::default(),
+                queue: VecDeque::new(),
+                unfinished: 0,
+                steps: 0,
+                goal_hits: 0,
+            }),
             abort: AbortSignal::new(),
-            steps: AtomicUsize::new(0),
-            spawned: AtomicUsize::new(0),
-            goal_hits: AtomicUsize::new(0),
         }
     }
 
@@ -128,37 +171,20 @@ impl<C: ?Sized + Sync, K: Hash + Eq + Clone + Send + Sync> Scheduler<C, K> {
 
     /// Total `step` invocations so far (diagnostics).
     pub fn steps_executed(&self) -> usize {
-        self.steps.load(Ordering::Relaxed)
+        self.state.borrow().steps
     }
 
     /// Total jobs created so far (diagnostics; the paper notes "hundreds or
     /// even thousands of job instances" per query).
     pub fn jobs_spawned(&self) -> usize {
-        self.spawned.load(Ordering::Relaxed)
+        self.state.borrow().jobs.len()
     }
 
     /// `spawn_goal` requests answered by an existing (active or finished)
     /// goal job instead of creating a new one — the effectiveness of the
     /// §4.2 goal deduplication.
     pub fn goal_hits(&self) -> usize {
-        self.goal_hits.load(Ordering::Relaxed)
-    }
-
-    /// Create a job entry (not yet queued).
-    fn create(&self, job: Box<dyn Job<C, K>>, goal: Option<K>) -> Handle<C, K> {
-        self.unfinished.fetch_add(1, Ordering::SeqCst);
-        self.spawned.fetch_add(1, Ordering::Relaxed);
-        Arc::new(JobEntry {
-            body: Mutex::new(Some(job)),
-            state: AtomicU8::new(ST_QUEUED),
-            deps: AtomicUsize::new(0),
-            waiters: Mutex::new(Vec::new()),
-            goal,
-        })
-    }
-
-    fn push_runnable(&self, entry: Handle<C, K>) {
-        self.queue.lock().push_back(entry);
+        self.state.borrow().goal_hits
     }
 
     /// Run `roots` plus everything they spawn to completion on the calling
@@ -166,21 +192,20 @@ impl<C: ?Sized + Sync, K: Hash + Eq + Clone + Send + Sync> Scheduler<C, K> {
     /// included).
     pub fn run(&self, ctx: &C, roots: Vec<Box<dyn Job<C, K>>>) -> Result<()> {
         for job in roots {
-            let entry = self.create(job, None);
-            self.push_runnable(entry);
+            self.state.borrow_mut().push(job, None, None);
         }
         while !self.abort.is_aborted() {
-            let Some(entry) = self.queue.lock().pop_front() else {
+            let Some(id) = self.state.borrow_mut().queue.pop_front() else {
                 break;
             };
-            self.step(ctx, entry);
+            self.step(ctx, id);
         }
         if self.abort.is_aborted() {
             return Err(self.abort.error());
         }
         // Only a finishing job makes a suspended one runnable again, so
         // jobs left over now wait on each other (a goal cycle).
-        match self.unfinished.load(Ordering::SeqCst) {
+        match self.state.borrow().unfinished {
             0 => Ok(()),
             n => Err(OrcaError::Internal(format!(
                 "{n} jobs suspended with none runnable"
@@ -188,21 +213,19 @@ impl<C: ?Sized + Sync, K: Hash + Eq + Clone + Send + Sync> Scheduler<C, K> {
         }
     }
 
-    fn step(&self, ctx: &C, entry: Handle<C, K>) {
-        let mut job = entry
-            .body
-            .lock()
-            .take()
-            .expect("runnable job owns its body");
-        entry.state.store(ST_RUNNING, Ordering::SeqCst);
-
-        self.steps.fetch_add(1, Ordering::Relaxed);
+    fn step(&self, ctx: &C, id: JobId) {
+        let mut job = {
+            let mut st = self.state.borrow_mut();
+            st.steps += 1;
+            st.jobs[id].body.take().expect("runnable job owns its body")
+        };
         let handle = JobHandle {
             sched: self,
-            me: &entry,
+            me: id,
         };
         let res = catch_unwind(AssertUnwindSafe(|| job.step(&handle, ctx)));
 
+        let mut st = self.state.borrow_mut();
         match res {
             Err(_) => {
                 self.abort.abort_with(OrcaError::Internal(format!(
@@ -210,67 +233,38 @@ impl<C: ?Sized + Sync, K: Hash + Eq + Clone + Send + Sync> Scheduler<C, K> {
                     job.name()
                 )));
             }
-            Ok(StepResult::Done) => {
-                self.complete(&entry);
+            Ok(StepResult::Done) if st.jobs[id].deps > 0 => {
+                self.abort.abort_with(OrcaError::Internal(format!(
+                    "job '{}' returned Done with {} children unfinished",
+                    job.name(),
+                    st.jobs[id].deps
+                )));
             }
+            Ok(StepResult::Done) => st.complete(id),
             Ok(StepResult::Runnable) => {
-                *entry.body.lock() = Some(job);
-                entry.state.store(ST_QUEUED, Ordering::SeqCst);
-                self.push_runnable(entry);
+                st.jobs[id].body = Some(job);
+                st.queue.push_back(id);
             }
             Ok(StepResult::Suspended) => {
-                *entry.body.lock() = Some(job);
-                entry.state.store(ST_SUSPENDED, Ordering::SeqCst);
-                // Children may all have finished while we were
-                // stepping: claim the wake-up ourselves if so.
-                if entry.deps.load(Ordering::SeqCst) == 0
-                    && entry
-                        .state
-                        .compare_exchange(
-                            ST_SUSPENDED,
-                            ST_QUEUED,
-                            Ordering::SeqCst,
-                            Ordering::SeqCst,
-                        )
-                        .is_ok()
-                {
-                    self.push_runnable(entry);
+                let entry = &mut st.jobs[id];
+                entry.body = Some(job);
+                if entry.deps == 0 {
+                    st.queue.push_back(id);
+                } else {
+                    entry.suspended = true;
                 }
             }
         }
     }
-
-    fn complete(&self, entry: &Handle<C, K>) {
-        // Publish the goal before DONE: a linker that sees DONE resumes at
-        // once and expects `goal_done` to hold.
-        if let Some(goal) = &entry.goal {
-            self.goals.lock().insert(goal.clone(), GoalState::Done);
-        }
-        entry.state.store(ST_DONE, Ordering::SeqCst);
-        let waiters: Vec<Handle<C, K>> = std::mem::take(&mut *entry.waiters.lock());
-        for we in waiters {
-            let before = we.deps.fetch_sub(1, Ordering::SeqCst);
-            debug_assert!(before > 0, "dependency underflow");
-            if before == 1
-                && we
-                    .state
-                    .compare_exchange(ST_SUSPENDED, ST_QUEUED, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            {
-                self.push_runnable(we);
-            }
-        }
-        self.unfinished.fetch_sub(1, Ordering::SeqCst);
-    }
 }
 
-impl<C: ?Sized + Sync, K: Hash + Eq + Clone + Send + Sync> Default for Scheduler<C, K> {
+impl<C: ?Sized, K: Hash + Eq + Clone> Default for Scheduler<C, K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<C: ?Sized + Sync, K: Hash + Eq + Clone + Send + Sync> JobHandle<'_, C, K> {
+impl<C: ?Sized, K: Hash + Eq + Clone> JobHandle<'_, C, K> {
     /// The abort signal, for jobs that hit errors mid-step.
     pub fn abort_signal(&self) -> &AbortSignal {
         self.sched.abort_signal()
@@ -278,15 +272,8 @@ impl<C: ?Sized + Sync, K: Hash + Eq + Clone + Send + Sync> JobHandle<'_, C, K> {
 
     /// Spawn an anonymous child job; the current job will not resume until
     /// it completes (once the current step returns `Suspended`).
-    ///
-    /// Ordering matters: the parent's dependency count is raised *before*
-    /// the child becomes reachable, so a fast child can never decrement a
-    /// counter that was not yet incremented.
     pub fn spawn(&self, job: Box<dyn Job<C, K>>) {
-        let child = self.sched.create(job, None);
-        self.me.deps.fetch_add(1, Ordering::SeqCst);
-        child.waiters.lock().push(self.me.clone());
-        self.sched.push_runnable(child);
+        self.sched.state.borrow_mut().push(job, None, Some(self.me));
     }
 
     /// Spawn — or link to — the job computing `goal`.
@@ -298,41 +285,21 @@ impl<C: ?Sized + Sync, K: Hash + Eq + Clone + Send + Sync> JobHandle<'_, C, K> {
     where
         F: FnOnce() -> Box<dyn Job<C, K>>,
     {
-        // Hold the goal lock across linking so a completing goal job
-        // cannot slip between the lookup and the waiter registration (the
-        // completion path takes the same lock to mark Done).
-        let mut goals = self.sched.goals.lock();
-        match goals.get(&goal) {
+        let mut st = self.sched.state.borrow_mut();
+        match st.goals.get(&goal).copied() {
             Some(GoalState::Done) => {
-                self.sched.goal_hits.fetch_add(1, Ordering::Relaxed);
+                st.goal_hits += 1;
                 false
             }
-            Some(GoalState::Active(entry)) => {
-                self.sched.goal_hits.fetch_add(1, Ordering::Relaxed);
-                let entry = entry.clone();
-                drop(goals);
-                // Raise the dependency first, then register under the
-                // waiter lock, re-checking DONE: `complete` stores DONE
-                // *before* draining waiters, so seeing !DONE under this
-                // lock guarantees the drain has not happened yet and will
-                // observe our registration.
-                self.me.deps.fetch_add(1, Ordering::SeqCst);
-                let mut w = entry.waiters.lock();
-                if entry.state.load(Ordering::SeqCst) == ST_DONE {
-                    drop(w);
-                    self.me.deps.fetch_sub(1, Ordering::SeqCst);
-                    return false;
-                }
-                w.push(self.me.clone());
+            Some(GoalState::Active(id)) => {
+                st.goal_hits += 1;
+                st.jobs[self.me].deps += 1;
+                st.jobs[id].waiters.push(self.me);
                 true
             }
             None => {
-                let child = self.sched.create(make(), Some(goal.clone()));
-                goals.insert(goal, GoalState::Active(child.clone()));
-                drop(goals);
-                self.me.deps.fetch_add(1, Ordering::SeqCst);
-                child.waiters.lock().push(self.me.clone());
-                self.sched.push_runnable(child);
+                let id = st.push(make(), Some(goal.clone()), Some(self.me));
+                st.goals.insert(goal, GoalState::Active(id));
                 true
             }
         }
@@ -340,7 +307,10 @@ impl<C: ?Sized + Sync, K: Hash + Eq + Clone + Send + Sync> JobHandle<'_, C, K> {
 
     /// Whether a goal has already completed.
     pub fn goal_done(&self, goal: &K) -> bool {
-        matches!(self.sched.goals.lock().get(goal), Some(GoalState::Done))
+        matches!(
+            self.sched.state.borrow().goals.get(goal),
+            Some(GoalState::Done)
+        )
     }
 }
 
@@ -554,6 +524,28 @@ mod tests {
             .run(&fresh_ctx(), vec![Box::new(Endless)])
             .unwrap_err();
         assert_eq!(err.kind(), "timeout");
+    }
+
+    /// Spawns a child, then reports itself finished without waiting.
+    struct Impatient;
+    impl Job<Ctx, u64> for Impatient {
+        fn step(&mut self, h: &JobHandle<'_, Ctx, u64>, _ctx: &Ctx) -> StepResult {
+            h.spawn(tree(0, 1));
+            StepResult::Done
+        }
+        fn name(&self) -> &'static str {
+            "impatient"
+        }
+    }
+
+    #[test]
+    fn done_with_children_outstanding_is_an_error() {
+        let sched: Scheduler<Ctx, u64> = Scheduler::new();
+        let ctx = fresh_ctx();
+        let err = sched.run(&ctx, vec![Box::new(Impatient)]).unwrap_err();
+        assert_eq!(err.kind(), "internal");
+        assert!(err.message().contains("impatient"), "{err}");
+        assert_eq!(ctx.done.load(Ordering::Relaxed), 0, "no job ran after it");
     }
 
     /// Spawns goal 7 as another `SelfWaiting`, which then links to itself.

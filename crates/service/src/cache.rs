@@ -8,9 +8,11 @@
 //! touch, and any mismatch means some `bump_table_version` happened in
 //! between — the stale entry is evicted on the spot and the lookup misses.
 //!
-//! Sharded like the Memo's dedup index to keep concurrent sessions off each
-//! other's locks, with per-shard LRU eviction under a byte budget that
-//! skips pinned entries (prepared statements stay resident).
+//! The cache is shared by every session, so it is split into
+//! hash-partitioned shards, each behind its own lock, to keep concurrent
+//! sessions off each other's locks. Each shard runs LRU eviction under a
+//! byte budget that skips pinned entries (prepared statements stay
+//! resident).
 
 use crate::ServiceStats;
 use orca::OptStats;

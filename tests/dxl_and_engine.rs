@@ -327,8 +327,7 @@ fn memo_explain_shows_figure6_structure() {
     assert!(text.contains("*"), "enforcers are rendered: {text}");
     assert!(text.contains("req {Singleton"), "{text}");
     // The root group's context satisfies the original request.
-    let group = memo.group(root);
-    let g = group.read();
+    let g = memo.group(root);
     let best = g.best_for(memo.intern_req(&req)).expect("best candidate");
     assert!(best.derived.satisfies(&req));
     // TAQO can count a non-trivial plan space from this memo.

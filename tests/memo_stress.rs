@@ -1,12 +1,12 @@
-//! Multi-threaded Memo stress tests (§4.2).
+//! Memo stress tests (§4.2).
 //!
-//! The Memo's two concurrent hot paths — sharded duplicate detection on
-//! insert and the lock-free chunked group directory — must keep the
-//! structure canonical under insert storms: identical expression topologies
-//! inserted from many threads land in one group, group ids stay dense and
-//! stable, and the dedup index always agrees with the directory
-//! (`Memo::check_integrity`). End to end, the worker count of a full
-//! optimization must change its speed, never the plan it picks.
+//! Duplicate detection and group merging must keep the Memo canonical
+//! under insert storms: identical expression topologies inserted in many
+//! different orders land in one group, group ids stay dense and stable,
+//! and the dedup index always agrees with the directory
+//! (`Memo::check_integrity`). A Memo is owned by one search on one thread,
+//! so a storm is a sequence of insert passes, each in its own order. End
+//! to end, the configured worker count must never change the plan.
 
 use orca::engine::{Optimizer, OptimizerConfig, QueryReqs};
 use orca::memo::{GroupId, Memo, Operator};
@@ -22,7 +22,8 @@ use orca_tpcds::build_catalog;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-const THREADS: usize = 8;
+/// Insert passes per storm, each walking the work in its own order.
+const PASSES: usize = 8;
 
 fn tref(oid: u64) -> TableRef {
     TableRef(Arc::new(TableDesc::new(
@@ -67,29 +68,24 @@ fn workload(trees: u64) -> Vec<LogicalExpr> {
         .collect()
 }
 
-/// Copy the workload into `memo` from `THREADS` threads, each walking the
-/// tree list starting at a different offset so insert orders differ.
-fn storm(memo: &Arc<Memo>, work: &[LogicalExpr]) {
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let memo = Arc::clone(memo);
-            s.spawn(move || {
-                for i in 0..work.len() {
-                    memo.copy_in(&work[(i + t * 3) % work.len()]);
-                }
-            });
+/// Copy the workload into `memo` in `PASSES` passes, starting with pass
+/// `first`; pass `t` walks the tree list from offset `3t`, so insert
+/// orders differ from pass to pass.
+fn storm(memo: &Memo, work: &[LogicalExpr], first: usize) {
+    for t in (first..first + PASSES).map(|t| t % PASSES) {
+        for i in 0..work.len() {
+            memo.copy_in(&work[(i + t * 3) % work.len()]);
         }
-    });
+    }
 }
 
 /// Every distinct topology must occupy exactly one slot in exactly one
-/// group, no matter how the threads interleaved.
+/// group, whatever order the passes inserted it in.
 fn assert_no_duplicate_topologies(memo: &Memo) {
     let mut seen: HashMap<(Operator, Vec<GroupId>), (GroupId, usize)> = HashMap::new();
     for idx in 0..memo.num_groups() {
         let gid = GroupId(idx as u32);
-        let group = memo.group(gid);
-        let g = group.read();
+        let g = memo.group(gid);
         assert_eq!(g.id, gid, "directory slot {idx} holds the wrong group");
         for (eid, e) in g.exprs.iter().enumerate() {
             let prev = seen.insert((e.op.clone(), e.children.clone()), (gid, eid));
@@ -105,11 +101,11 @@ fn assert_no_duplicate_topologies(memo: &Memo) {
 #[test]
 fn concurrent_copy_in_storm_is_canonical() {
     let work = workload(24);
-    let memo = Arc::new(Memo::new());
-    storm(&memo, &work);
+    let memo = Memo::new();
+    storm(&memo, &work, 0);
 
-    // Serial reference: the storm must produce exactly the groups a
-    // single-threaded copy-in produces.
+    // Reference: the storm must produce exactly the groups a single
+    // in-order copy-in produces.
     let reference = Memo::new();
     for tree in &work {
         reference.copy_in(tree);
@@ -129,9 +125,9 @@ fn concurrent_copy_in_storm_is_canonical() {
 fn repeated_storms_reach_identical_group_counts() {
     let work = workload(16);
     let counts: Vec<(usize, usize)> = (0..3)
-        .map(|_| {
-            let memo = Arc::new(Memo::new());
-            storm(&memo, &work);
+        .map(|first| {
+            let memo = Memo::new();
+            storm(&memo, &work, first);
             memo.check_integrity().expect("index/directory agreement");
             (memo.num_groups(), memo.num_exprs())
         })
@@ -148,8 +144,7 @@ fn repeated_storms_reach_identical_group_counts() {
 fn assert_single_canonical_home_per_topology(memo: &Memo) {
     let mut seen: HashMap<(Operator, Vec<GroupId>), (GroupId, usize)> = HashMap::new();
     for gid in memo.canonical_groups() {
-        let group = memo.group(gid);
-        let g = group.read();
+        let g = memo.group(gid);
         for (eid, e) in g.exprs.iter().enumerate() {
             if e.dead {
                 continue;
@@ -166,15 +161,14 @@ fn assert_single_canonical_home_per_topology(memo: &Memo) {
 
 #[test]
 fn merge_storm_single_canonical_group_per_topology() {
-    // N threads race standalone spellings of shared join shapes against
-    // targeted copies of the same shapes aimed at thread-private host
+    // Passes interleave standalone spellings of shared join shapes with
+    // targeted copies of the same shapes aimed at pass-private host
     // groups — exactly the collision §4.2 group merging resolves. Every
     // host must end up merged with the shape's standalone home, leaving
-    // one canonical group per topology no matter how the threads
-    // interleaved.
+    // one canonical group per topology whatever the insert order.
     const SHAPES: u64 = 6;
-    let memo = Arc::new(Memo::new());
-    // Shared leaf groups minted up front so every thread references the
+    let memo = Memo::new();
+    // Shared leaf groups minted up front so every pass references the
     // same children.
     let shapes: Vec<(GroupId, GroupId, Operator)> = (1..=SHAPES)
         .map(|i| {
@@ -187,58 +181,45 @@ fn merge_storm_single_canonical_group_per_topology() {
             (l, r, op)
         })
         .collect();
-    let hosts: Vec<std::sync::Mutex<Vec<(usize, GroupId)>>> = (0..THREADS)
-        .map(|_| std::sync::Mutex::new(Vec::new()))
-        .collect();
-    std::thread::scope(|s| {
-        for (t, host_log) in hosts.iter().enumerate() {
-            let memo = Arc::clone(&memo);
-            let shapes = &shapes;
-            s.spawn(move || {
-                for k in 0..shapes.len() {
-                    let (l, r, op) = &shapes[(k + t) % shapes.len()];
-                    if t % 2 == 0 {
-                        // Standalone spelling: lands in (or dedups to) the
-                        // shape's home group.
-                        memo.insert_expr(None, op.clone(), vec![*l, *r]);
-                    } else {
-                        // Thread-private host group (unique predicate makes
-                        // the topology unique), then a targeted copy of the
-                        // shared shape — the merge trigger.
-                        let unique = Operator::Logical(LogicalOp::Join {
-                            kind: JoinKind::Inner,
-                            pred: ScalarExpr::col_eq_col(
-                                ColId(1000 + (t * SHAPES as usize + k) as u32),
-                                ColId(0),
-                            ),
-                        });
-                        let (host, _, _) = memo.insert_expr(None, unique, vec![*l, *r]);
-                        let (home, _, _) = memo.insert_expr(Some(host), op.clone(), vec![*l, *r]);
-                        host_log
-                            .lock()
-                            .unwrap()
-                            .push(((k + t) % shapes.len(), home));
-                    }
-                }
-            });
+    let mut hosts: Vec<(usize, GroupId)> = Vec::new();
+    for t in 0..PASSES {
+        for k in 0..shapes.len() {
+            let (l, r, op) = &shapes[(k + t) % shapes.len()];
+            if t % 2 == 0 {
+                // Standalone spelling: lands in (or dedups to) the shape's
+                // home group.
+                memo.insert_expr(None, op.clone(), vec![*l, *r]);
+            } else {
+                // Pass-private host group (unique predicate makes the
+                // topology unique), then a targeted copy of the shared
+                // shape — the merge trigger.
+                let unique = Operator::Logical(LogicalOp::Join {
+                    kind: JoinKind::Inner,
+                    pred: ScalarExpr::col_eq_col(
+                        ColId(1000 + (t * SHAPES as usize + k) as u32),
+                        ColId(0),
+                    ),
+                });
+                let (host, _, _) = memo.insert_expr(None, unique, vec![*l, *r]);
+                let (home, _, _) = memo.insert_expr(Some(host), op.clone(), vec![*l, *r]);
+                hosts.push(((k + t) % shapes.len(), home));
+            }
         }
-    });
-    // Merges actually happened (every odd thread forced at least one).
+    }
+    // Merges actually happened (every odd pass forced at least one).
     let snap = memo.metrics().snapshot();
     assert!(snap.groups_merged > 0, "storm never triggered a merge");
     // Every host that received a targeted copy of shape k now resolves to
     // the same canonical group as every other copy of shape k.
-    for host_log in &hosts {
-        for &(k, home) in host_log.lock().unwrap().iter() {
-            let (l, r, op) = &shapes[k];
-            let (canon, _, added) = memo.insert_expr(None, op.clone(), vec![*l, *r]);
-            assert!(!added, "shape {k} lost its dedup entry");
-            assert_eq!(
-                memo.resolve(home),
-                memo.resolve(canon),
-                "shape {k}: targeted home and standalone home did not merge"
-            );
-        }
+    for &(k, home) in &hosts {
+        let (l, r, op) = &shapes[k];
+        let (canon, _, added) = memo.insert_expr(None, op.clone(), vec![*l, *r]);
+        assert!(!added, "shape {k} lost its dedup entry");
+        assert_eq!(
+            memo.resolve(home),
+            memo.resolve(canon),
+            "shape {k}: targeted home and standalone home did not merge"
+        );
     }
     assert_single_canonical_home_per_topology(&memo);
     memo.check_integrity().expect("index/directory agreement");
@@ -251,7 +232,7 @@ fn merge_purges_loser_scoped_selectivity_entries() {
     // `merge_storm_...`). Probes under the pre-merge loser id must resolve
     // through the union-find to the surviving winner-scoped entry — the
     // loser-keyed value is purged at merge time and can never be served.
-    let memo = Arc::new(Memo::new());
+    let memo = Memo::new();
     let l = memo.copy_in(&leaf(1));
     let r = memo.copy_in(&leaf(2));
     let shared = Operator::Logical(LogicalOp::Join {
@@ -290,7 +271,7 @@ fn merge_purges_loser_scoped_selectivity_entries() {
         assert_eq!(got, Some(winner_sel), "scope {scope} served a stale value");
         assert_ne!(got, Some(loser_sel));
     }
-    // check_integrity additionally walks every cache shard and rejects any
+    // check_integrity additionally walks the whole cache and rejects any
     // key whose scope ids are not union-find roots.
     memo.check_integrity().expect("no stale loser-scoped keys");
 }
@@ -389,59 +370,28 @@ fn merge_heavy_optimization_cost_stable_across_workers() {
 }
 
 #[test]
-fn single_shard_memo_behaves_identically() {
-    // The dedup shard count is a pure performance knob: a 1-shard Memo
-    // (every insert serialized through one mutex) must converge on exactly
-    // the same groups and expressions as the default-sharded one.
-    let work = workload(16);
-    let single = Arc::new(Memo::with_shards(1));
-    assert_eq!(single.dedup_shards(), 1);
-    storm(&single, &work);
-    let reference = Memo::new();
-    for tree in &work {
-        reference.copy_in(tree);
-    }
-    assert_eq!(single.num_groups(), reference.num_groups());
-    assert_eq!(single.num_exprs(), reference.num_exprs());
-    single.check_integrity().expect("index/directory agreement");
-    // Contention on the single shard is likely but never guaranteed, so
-    // the try_lock miss count is reported, not asserted.
-    println!(
-        "1-shard storm: dedup_shard_collisions = {}",
-        single.metrics().snapshot().dedup_shard_collisions
-    );
-}
-
-#[test]
 fn targeted_insert_storm_no_intra_group_duplicates() {
-    // One join group per tree; every thread re-inserts the original and the
-    // commuted variant into the SAME group, racing on the dedup shards.
+    // One join group per tree; every pass re-inserts the original and the
+    // commuted variant into the SAME group.
     let work = workload(8);
-    let memo = Arc::new(Memo::new());
+    let memo = Memo::new();
     let roots: Vec<GroupId> = work.iter().map(|t| memo.copy_in(t)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..THREADS {
-            let memo = Arc::clone(&memo);
-            let roots = roots.clone();
-            s.spawn(move || {
-                for &root in &roots {
-                    let (op, c1, c2) = {
-                        let group = memo.group(root);
-                        let g = group.read();
-                        let e = &g.exprs[0];
-                        (e.op.clone(), e.children[0], e.children[1])
-                    };
-                    for _ in 0..50 {
-                        memo.insert_expr(Some(root), op.clone(), vec![c1, c2]);
-                        memo.insert_expr(Some(root), op.clone(), vec![c2, c1]);
-                    }
-                }
-            });
+    for _ in 0..PASSES {
+        for &root in &roots {
+            let (op, c1, c2) = {
+                let g = memo.group(root);
+                let e = &g.exprs[0];
+                (e.op.clone(), e.children[0], e.children[1])
+            };
+            for _ in 0..50 {
+                memo.insert_expr(Some(root), op.clone(), vec![c1, c2]);
+                memo.insert_expr(Some(root), op.clone(), vec![c2, c1]);
+            }
         }
-    });
+    }
     for &root in &roots {
         assert_eq!(
-            memo.group(root).read().exprs.len(),
+            memo.group(root).exprs.len(),
             2,
             "group {root} holds exactly the original and the commuted join"
         );
