@@ -3,9 +3,6 @@
 //! authors' 16-node testbed with the full TPC-DS schema; our absolute
 //! numbers are smaller, the per-query distribution is the point).
 //!
-//! Every query is also optimized at 1 worker, and the summary compares the
-//! suite means at 1 and 2 workers: the worker count must not cost time.
-//!
 //! Usage: `optstats [scale]`.
 
 use orca::engine::OptimizerConfig;
@@ -36,22 +33,13 @@ fn main() {
         ])
     );
     let mut times = Vec::new();
-    let mut serial_times = Vec::new();
     let mut memo_bytes = Vec::new();
     let mut jobs_all = Vec::new();
     let mut pruned_all = Vec::new();
     for q in suite() {
-        let config = |workers| {
-            OptimizerConfig::default()
-                .with_workers(workers)
-                .with_cluster(env.cluster.clone())
-        };
-        // A query counts only if it optimizes at both worker counts, so
-        // both means cover the same queries.
-        let serial = env.optimize_only(&q, config(1));
-        match (serial, env.optimize_only(&q, config(2))) {
-            (Ok((_, serial)), Ok((_, stats))) => {
-                serial_times.push(serial.optimization_time.as_secs_f64() * 1e3);
+        let config = OptimizerConfig::default().with_cluster(env.cluster.clone());
+        match env.optimize_only(&q, config) {
+            Ok((_, stats)) => {
                 let ms = stats.optimization_time.as_secs_f64() * 1e3;
                 times.push(ms);
                 memo_bytes.push(stats.memo_bytes as f64);
@@ -73,7 +61,7 @@ fn main() {
                     ])
                 );
             }
-            (Err(e), _) | (Ok(_), Err(e)) => println!("{}  FAILED: {e}", q.id),
+            Err(e) => println!("{}  FAILED: {e}", q.id),
         }
     }
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
@@ -84,11 +72,6 @@ fn main() {
         "avg optimization time    : {:.2} ms (max {:.2} ms)",
         avg(&times),
         max(&times)
-    );
-    println!(
-        "avg at 1 worker          : {:.2} ms; 2 workers / 1 worker = {:.2}x",
-        avg(&serial_times),
-        avg(&times) / avg(&serial_times)
     );
     println!(
         "avg memo footprint       : {:.1} KB (max {:.1} KB)",

@@ -442,9 +442,9 @@ fn cexec_shared_scan(
     n: usize,
     bs: usize,
 ) -> Result<ColStream> {
-    use crate::sharing::{Fragment, FragmentKey, Probe};
+    use crate::sharing::{fragment_fingerprint, Fragment, FragmentKey, Probe};
     let t = ctx.db.table(table.mdid)?;
-    let fingerprint = fc.fingerprint(cols, parts, bs, pred);
+    let fingerprint = fragment_fingerprint(cols, parts, bs, pred);
     let mut out = ColStream::empty(cols.to_vec(), n);
     out.replicated = t.desc.distribution == orca_catalog::Distribution::Replicated;
     for s in 0..n {

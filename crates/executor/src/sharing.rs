@@ -3,9 +3,9 @@
 //! Concurrently admitted queries that scan the same table fragment —
 //! same table *name and version*, same projection/pruning/predicate
 //! fingerprint, same segment — should read storage once. The cache keys
-//! fragments on [`FragmentKey`]; the predicate contributes through its
-//! hash-consed id ([`orca_expr::intern::fragment_fingerprint`]), so
-//! detection is an O(1) probe after the first sighting of a predicate.
+//! fragments on [`FragmentKey`], whose [`fragment_fingerprint`] hashes
+//! the fused filter predicate itself, so structurally equal predicates
+//! from different sessions land on one entry.
 //!
 //! **Cooperative scans.** A probe that misses installs a `Filling` slot
 //! and returns [`Probe::Lead`]: the caller performs the scan and
@@ -29,8 +29,8 @@
 //! just-published entry are never evicted.
 
 use crate::columnar::ColumnBatch;
+use orca_common::hash::fnv_hash;
 use orca_common::{ColId, Result};
-use orca_expr::intern::{fragment_fingerprint, ExprInterner};
 use orca_expr::scalar::ScalarExpr;
 use orca_gpos::AbortSignal;
 use std::collections::HashMap;
@@ -49,6 +49,18 @@ pub struct FragmentKey {
     pub fingerprint: u64,
     /// Physical storage segment this fragment was scanned from.
     pub segment: usize,
+}
+
+/// Content fingerprint of a scan fragment: the table-independent part of
+/// a [`FragmentKey`] — projection columns, partition pruning, batch
+/// granularity, and the fused filter predicate, if any.
+pub fn fragment_fingerprint(
+    cols: &[ColId],
+    parts: &Option<Vec<usize>>,
+    batch_size: usize,
+    pred: Option<&ScalarExpr>,
+) -> u64 {
+    fnv_hash(&(cols, parts, batch_size, pred))
 }
 
 /// One materialized fragment: the batches a scan (plus optional fused
@@ -151,7 +163,6 @@ pub struct FragmentCache {
     /// fragment bytes are charged against it so cached fragments compete
     /// with query operator state for the same pool.
     process: Option<Arc<crate::memory::MemoryBudget>>,
-    interner: ExprInterner,
     reused: AtomicU64,
     inserted: AtomicU64,
     coop_attached: AtomicU64,
@@ -166,7 +177,6 @@ impl FragmentCache {
             ready: Condvar::new(),
             budget: budget_bytes,
             process: None,
-            interner: ExprInterner::new(),
             reused: AtomicU64::new(0),
             inserted: AtomicU64::new(0),
             coop_attached: AtomicU64::new(0),
@@ -183,17 +193,6 @@ impl FragmentCache {
     ) -> FragmentCache {
         self.process = Some(budget);
         self
-    }
-
-    /// Fragment fingerprint through this cache's interner.
-    pub fn fingerprint(
-        &self,
-        cols: &[ColId],
-        parts: &Option<Vec<usize>>,
-        batch_size: usize,
-        pred: Option<&ScalarExpr>,
-    ) -> u64 {
-        fragment_fingerprint(&self.interner, cols, parts, batch_size, pred)
     }
 
     /// Probe for `key`: reuse a resident fragment, attach to an
@@ -411,6 +410,17 @@ mod tests {
             fingerprint: fp,
             segment: 0,
         }
+    }
+
+    #[test]
+    fn equal_predicates_share_a_fingerprint() {
+        use orca_expr::scalar::CmpOp;
+        let pred =
+            |lit| ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::col(ColId(1)), ScalarExpr::int(lit));
+        let cols = [ColId(1), ColId(2)];
+        let fp = |p: &ScalarExpr| fragment_fingerprint(&cols, &None, 256, Some(p));
+        assert_eq!(fp(&pred(7)), fp(&pred(7)), "equal predicates built apart");
+        assert_ne!(fp(&pred(7)), fp(&pred(8)), "a different literal");
     }
 
     #[test]

@@ -133,28 +133,6 @@ impl<T: std::hash::Hash + Eq> Interner<T> {
 /// The scalar-expression interner: hash-consing for `ScalarExpr` trees.
 pub type ExprInterner = Interner<ScalarExpr>;
 
-/// Content fingerprint of a scan *fragment*: the table-independent part
-/// of an executor fragment-cache key — projection columns, partition
-/// pruning, batch granularity, and (optionally) the interned filter
-/// predicate.
-///
-/// The predicate contributes through its hash-consed id, so the deep
-/// structural hash is paid once per distinct predicate and every repeat
-/// probe is an O(1) map hit. Ids are arrival-order dependent, which is
-/// fine here: the fingerprint keys an *in-process* cache scoped to the
-/// same interner's lifetime and is never persisted or compared across
-/// runs (see the module-level caveat on id stability).
-pub fn fragment_fingerprint(
-    interner: &ExprInterner,
-    cols: &[orca_common::ColId],
-    parts: &Option<Vec<usize>>,
-    batch_size: usize,
-    pred: Option<&ScalarExpr>,
-) -> u64 {
-    let pred_id = pred.map(|p| interner.intern(p).0);
-    fnv_hash(&(cols, parts, batch_size, pred_id))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

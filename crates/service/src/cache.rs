@@ -8,11 +8,9 @@
 //! touch, and any mismatch means some `bump_table_version` happened in
 //! between — the stale entry is evicted on the spot and the lookup misses.
 //!
-//! The cache is shared by every session, so it is split into
-//! hash-partitioned shards, each behind its own lock, to keep concurrent
-//! sessions off each other's locks. Each shard runs LRU eviction under a
-//! byte budget that skips pinned entries (prepared statements stay
-//! resident).
+//! Every session shares one map behind one lock, with one byte budget
+//! and one LRU order: inserting past the budget evicts the
+//! least-recently-used entries until the cache fits again.
 
 use crate::ServiceStats;
 use orca::OptStats;
@@ -55,13 +53,14 @@ struct Entry {
     payload: Arc<CachedPlan>,
     bytes: u64,
     last_used: u64,
-    pins: u32,
 }
 
 #[derive(Debug, Default)]
-struct Shard {
+struct Inner {
     map: HashMap<u64, Entry>,
     bytes: u64,
+    /// LRU clock: bumped on every touch (only relative order matters).
+    tick: u64,
 }
 
 /// Result of a cache probe.
@@ -76,104 +75,80 @@ pub enum CacheLookup {
 
 #[derive(Debug)]
 pub struct PlanCache {
-    shards: Vec<Mutex<Shard>>,
-    mask: u64,
-    /// Per-shard byte budget.
-    shard_budget: u64,
-    /// LRU clock: bumped on every touch; cheap and deterministic enough
-    /// (exact wall-clock recency is not needed, only relative order).
-    tick: AtomicU64,
+    inner: Mutex<Inner>,
+    budget: u64,
     pub evictions: AtomicU64,
     pub invalidations: AtomicU64,
 }
 
 impl PlanCache {
-    pub fn new(total_bytes: u64, shards: usize) -> PlanCache {
-        let n = shards.max(1).next_power_of_two();
+    pub fn new(total_bytes: u64) -> PlanCache {
         PlanCache {
-            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
-            mask: (n - 1) as u64,
-            shard_budget: (total_bytes / n as u64).max(1),
-            tick: AtomicU64::new(0),
+            inner: Mutex::new(Inner::default()),
+            budget: total_bytes.max(1),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
         }
-    }
-
-    fn shard(&self, fingerprint: u64) -> &Mutex<Shard> {
-        // Fingerprints are FNV-mixed already; low bits select the shard.
-        &self.shards[(fingerprint & self.mask) as usize]
     }
 
     /// Probe for `fingerprint`. `current_ids` is the sorted, deduped id set
     /// a fresh optimization of this query would record (the query's tables
     /// at their *current* catalog versions).
     pub fn lookup(&self, fingerprint: u64, current_ids: &[MdId]) -> CacheLookup {
-        let mut shard = self.shard(fingerprint).lock();
-        let Some(entry) = shard.map.get_mut(&fingerprint) else {
+        let inner = &mut *self.inner.lock();
+        let Some(entry) = inner.map.get_mut(&fingerprint) else {
             return CacheLookup::Miss;
         };
         if entry.md_ids != current_ids {
             // Some referenced table was re-versioned since this plan was
             // cached; drop it now rather than waiting for LRU pressure.
-            let stale = shard.map.remove(&fingerprint).expect("entry just seen");
-            shard.bytes -= stale.bytes;
+            let stale = inner.map.remove(&fingerprint).expect("entry just seen");
+            inner.bytes -= stale.bytes;
             self.invalidations.fetch_add(1, Ordering::Relaxed);
             return CacheLookup::Stale;
         }
-        entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        inner.tick += 1;
+        entry.last_used = inner.tick;
         CacheLookup::Hit(entry.payload.clone())
     }
 
-    /// Insert (or replace) the plan for `fingerprint`. Evicts
-    /// least-recently-used unpinned entries until the shard fits its
-    /// budget; over-budget pinned entries are tolerated.
+    /// Insert (or replace) the plan for `fingerprint`, then evict
+    /// least-recently-used entries until the cache fits its budget. The
+    /// new entry itself is never evicted by its own insert.
     pub fn insert(&self, fingerprint: u64, md_ids: Vec<MdId>, payload: Arc<CachedPlan>) {
         let bytes = payload.bytes(&md_ids);
-        let mut shard = self.shard(fingerprint).lock();
-        if let Some(old) = shard.map.remove(&fingerprint) {
-            shard.bytes -= old.bytes;
+        let inner = &mut *self.inner.lock();
+        if let Some(old) = inner.map.remove(&fingerprint) {
+            inner.bytes -= old.bytes;
         }
-        shard.bytes += bytes;
-        shard.map.insert(
+        inner.tick += 1;
+        let last_used = inner.tick;
+        inner.bytes += bytes;
+        inner.map.insert(
             fingerprint,
             Entry {
                 md_ids,
                 payload,
                 bytes,
-                last_used: self.tick.fetch_add(1, Ordering::Relaxed) + 1,
-                pins: 0,
+                last_used,
             },
         );
-        while shard.bytes > self.shard_budget {
-            let victim = shard
+        while inner.bytes > self.budget {
+            let victim = inner
                 .map
                 .iter()
-                .filter(|(fp, e)| e.pins == 0 && **fp != fingerprint)
+                .filter(|(fp, _)| **fp != fingerprint)
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(fp, _)| *fp);
             let Some(fp) = victim else { break };
-            let evicted = shard.map.remove(&fp).expect("victim just seen");
-            shard.bytes -= evicted.bytes;
+            let evicted = inner.map.remove(&fp).expect("victim just seen");
+            inner.bytes -= evicted.bytes;
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Pin an entry so LRU pressure cannot evict it (version invalidation
-    /// still can — a stale plan is useless however popular). Returns `None`
-    /// if the fingerprint is not resident.
-    pub fn pin(self: &Arc<Self>, fingerprint: u64) -> Option<PinGuard> {
-        let mut shard = self.shard(fingerprint).lock();
-        let entry = shard.map.get_mut(&fingerprint)?;
-        entry.pins += 1;
-        Some(PinGuard {
-            cache: self.clone(),
-            fingerprint,
-        })
-    }
-
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.inner.lock().map.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -181,15 +156,12 @@ impl PlanCache {
     }
 
     pub fn bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().bytes).sum()
+        self.inner.lock().bytes
     }
 
     /// Whether a (non-stale-checked) entry exists for `fingerprint`.
     pub fn contains(&self, fingerprint: u64) -> bool {
-        self.shard(fingerprint)
-            .lock()
-            .map
-            .contains_key(&fingerprint)
+        self.inner.lock().map.contains_key(&fingerprint)
     }
 
     /// Merge this cache's counters into a stats snapshot (used by
@@ -197,22 +169,6 @@ impl PlanCache {
     pub fn fill_stats(&self, stats: &mut ServiceStats) {
         stats.cache_evictions = self.evictions.load(Ordering::Relaxed);
         stats.cache_invalidations = self.invalidations.load(Ordering::Relaxed);
-    }
-}
-
-/// RAII pin: the entry stays eviction-exempt until the guard drops.
-#[derive(Debug)]
-pub struct PinGuard {
-    cache: Arc<PlanCache>,
-    fingerprint: u64,
-}
-
-impl Drop for PinGuard {
-    fn drop(&mut self) {
-        let mut shard = self.cache.shard(self.fingerprint).lock();
-        if let Some(e) = shard.map.get_mut(&self.fingerprint) {
-            e.pins = e.pins.saturating_sub(1);
-        }
     }
 }
 
@@ -239,7 +195,7 @@ mod tests {
 
     #[test]
     fn hit_miss_and_version_invalidation() {
-        let c = PlanCache::new(1 << 20, 4);
+        let c = PlanCache::new(1 << 20);
         assert!(matches!(c.lookup(42, &ids(1)), CacheLookup::Miss));
         c.insert(42, ids(1), plan("p"));
         assert!(matches!(c.lookup(42, &ids(1)), CacheLookup::Hit(_)));
@@ -253,8 +209,8 @@ mod tests {
 
     #[test]
     fn lru_eviction_under_byte_budget() {
-        // One shard, budget fits ~2 entries of this size.
-        let c = PlanCache::new(600, 1);
+        // The budget fits ~2 entries of this size.
+        let c = PlanCache::new(600);
         c.insert(1, ids(1), plan("x"));
         c.insert(2, ids(1), plan("y"));
         // Touch 1 so 2 is the LRU victim.
@@ -264,21 +220,5 @@ mod tests {
         assert!(!c.contains(2));
         assert!(c.contains(3));
         assert_eq!(c.evictions.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn pinned_entries_survive_pressure() {
-        let c = Arc::new(PlanCache::new(600, 1));
-        c.insert(1, ids(1), plan("x"));
-        let guard = c.pin(1).expect("resident");
-        c.insert(2, ids(1), plan("y"));
-        c.insert(3, ids(1), plan("z"));
-        // 1 is pinned: pressure lands on 2 instead.
-        assert!(c.contains(1));
-        assert!(!c.contains(2));
-        drop(guard);
-        c.insert(4, ids(1), plan("w"));
-        // Unpinned now and least recently used → evictable.
-        assert!(!c.contains(1));
     }
 }

@@ -15,13 +15,6 @@
 //! * **graceful degradation** — on deadline expiry or queue rejection the
 //!   service answers with the best-so-far plan or the legacy planner's
 //!   heuristic plan, tagged `degraded: true`, instead of an error;
-//! * **in-flight request coalescing** — a cache-missing request whose
-//!   fingerprint *and* versioned `MdId` set match an optimization already
-//!   in flight does not take a second admission slot: it parks on the
-//!   leader's in-flight entry and reuses the leader's response (tagged
-//!   [`PlanSource::Coalesced`]), execution result included. The leader
-//!   publishes only clean results — degraded, fallback, and error outcomes
-//!   release the followers to optimize on their own;
 //! * **a shared scan-fragment cache** ([`orca_executor::FragmentCache`]) —
 //!   one byte-budgeted cache attached to every engine the execute path
 //!   builds, so concurrent and repeated queries share materialized scan
@@ -36,15 +29,20 @@
 //! * **metrics** ([`metrics`]) — admission/cache/sharing counters and
 //!   optimize latency percentiles.
 //!
+//! Every request takes one path, and every response goes out through a
+//! [`StreamSink`]: the TCP front-end's sink writes frames to the socket,
+//! and the in-process `submit*` calls pass a sink that collects the rows
+//! into [`ExecSummary::rows`].
+//!
 //! ```text
 //! submit(dxl) ─ parse ─ rebind tables to current versions ─ fingerprint
 //!    ├─ cache hit (id set matches) ──────────────────────► cached plan
-//!    └─ miss/stale ─┬─ identical request in flight ─ await ► coalesced
-//!                   └─ admission gate ─┬─ admitted ─ optimize(deadline)
-//!                                      │     ├─ done ── cache + return
-//!                                      │     ├─ truncated ─ degraded plan
-//!                                      │     └─ timeout ─ fallback, degraded
-//!                                      └─ rejected/queue-timeout ─ fallback
+//!    └─ miss/stale ─ admission gate ─┬─ admitted ─ optimize(deadline)
+//!                                    │     ├─ done ── cache + return
+//!                                    │     ├─ truncated ─ degraded plan
+//!                                    │     └─ timeout ─ fallback, degraded
+//!                                    └─ rejected/queue-timeout ─ fallback
+//!    then: sink.on_plan(header) ─ execute ─ sink.on_rows(batch)…
 //! ```
 
 pub mod admission;
@@ -55,7 +53,7 @@ pub mod server;
 pub mod session;
 
 pub use admission::{Admission, AdmissionGate};
-pub use cache::{CacheLookup, CachedPlan, PinGuard, PlanCache};
+pub use cache::{CacheLookup, CachedPlan, PlanCache};
 pub use grants::{MemoryGrant, MemoryGrantBroker};
 pub use metrics::{ServiceMetrics, ServiceStats};
 pub use server::{ServiceClient, ServiceServer};
@@ -73,11 +71,9 @@ use orca_executor::{
 use orca_expr::logical::TableRef;
 use orca_expr::physical::PhysicalPlan;
 use orca_expr::ColumnRegistry;
-use orca_gpos::wait_until;
 use orca_planner::LegacyPlanner;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// Serving-layer configuration.
@@ -95,10 +91,8 @@ pub struct ServiceConfig {
     /// Per-request optimization budget (admission wait + search). `None` =
     /// unbounded.
     pub default_deadline: Option<Duration>,
-    /// Plan-cache byte budget across all shards.
+    /// Plan-cache byte budget.
     pub cache_bytes: u64,
-    /// Plan-cache shard count (rounded up to a power of two).
-    pub cache_shards: usize,
     /// Byte budget of the shared scan-fragment cache the execute path
     /// attaches to every engine it builds.
     pub fragment_cache_bytes: u64,
@@ -120,7 +114,6 @@ impl Default for ServiceConfig {
             queue_depth: 32,
             default_deadline: None,
             cache_bytes: 8 << 20,
-            cache_shards: 8,
             fragment_cache_bytes: 32 << 20,
             executor_memory_bytes: 0,
             execute: None,
@@ -177,7 +170,9 @@ impl ExecuteConfig {
 /// Outcome of executing a plan on the attached database.
 #[derive(Debug, Clone)]
 pub struct ExecSummary {
-    /// The query's result rows, projected to its output columns.
+    /// The query's result rows, projected to its output columns, when
+    /// the in-process `submit*` calls collected them; empty when
+    /// [`Service::submit_streaming`] sent them to its sink.
     pub rows: Vec<Row>,
     /// Wall time of the execution alone (also folded into the service's
     /// execute-latency reservoir).
@@ -200,16 +195,14 @@ pub struct ExecSummary {
     pub streamed: bool,
 }
 
-/// Where a response's plan came from.
+/// Where a response's plan came from: each request takes exactly one of
+/// these paths on its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanSource {
     /// Served from the plan cache (no optimization ran).
     Cache,
     /// Freshly optimized this request.
     Fresh,
-    /// Reused from an identical request that was already in flight when
-    /// this one arrived (no optimization and no execution ran here).
-    Coalesced,
     /// The legacy planner's heuristic plan (always `degraded`).
     Fallback,
 }
@@ -274,70 +267,22 @@ pub trait StreamSink {
     fn on_rows(&mut self, rows: &[Row]) -> Result<bool>;
 }
 
-/// One in-flight optimization that identical later requests attach to
-/// instead of taking their own admission slot.
-struct Inflight {
-    /// The exact versioned id set the leader optimizes against; a request
-    /// that resolved to different versions must not reuse the result.
-    md_ids: Vec<MdId>,
-    /// `None` until the leader finishes. Then `Some(outcome)`, where the
-    /// outcome is `None` when the leader produced nothing shareable
-    /// (degraded, fallback, or error) and followers proceed on their own.
-    done: Mutex<Option<Option<PlanResponse>>>,
-    cv: Condvar,
-    /// Followers attached so far, so a test can publish only once its
-    /// follower is registered.
-    #[cfg(test)]
-    waiters: AtomicU64,
+/// The sink the in-process `submit*` calls pass down the request path:
+/// it keeps the rows, which then become [`ExecSummary::rows`].
+#[derive(Default)]
+struct CollectSink {
+    rows: Vec<Row>,
 }
 
-/// RAII registration of the in-flight leader. Publishing a clean result
-/// hands it to every parked follower; dropping without publishing (any
-/// degraded/fallback/error exit) releases them empty-handed so nobody
-/// hangs on a leader that went sideways.
-struct InflightLease<'a> {
-    service: &'a Service,
-    fingerprint: u64,
-    entry: Arc<Inflight>,
-    published: bool,
-}
-
-impl InflightLease<'_> {
-    fn publish(mut self, response: &PlanResponse) {
-        self.finish(Some(response.clone()));
+impl StreamSink for CollectSink {
+    fn on_plan(&mut self, _: &PlanHeader<'_>) -> Result<()> {
+        Ok(())
     }
 
-    fn finish(&mut self, outcome: Option<PlanResponse>) {
-        if self.published {
-            return;
-        }
-        self.published = true;
-        self.service
-            .inflight
-            .lock()
-            .unwrap()
-            .remove(&self.fingerprint);
-        *self.entry.done.lock().unwrap() = Some(outcome);
-        self.entry.cv.notify_all();
+    fn on_rows(&mut self, rows: &[Row]) -> Result<bool> {
+        self.rows.extend_from_slice(rows);
+        Ok(true)
     }
-}
-
-impl Drop for InflightLease<'_> {
-    fn drop(&mut self) {
-        self.finish(None);
-    }
-}
-
-/// How a cache-missing request relates to the in-flight table.
-enum InflightJoin<'a> {
-    /// First of its kind: registered, must publish (or drop) the lease.
-    Lead(InflightLease<'a>),
-    /// Attached to an identical in-flight request and got its result.
-    Shared(Box<PlanResponse>),
-    /// Proceed solo: a version-skewed twin is in flight, or the awaited
-    /// leader had nothing shareable, or the wait hit this request's
-    /// deadline.
-    Alone,
 }
 
 /// The optimizer service.
@@ -346,7 +291,7 @@ pub struct Service {
     config: ServiceConfig,
     sessions: SessionManager,
     gate: AdmissionGate,
-    cache: Arc<PlanCache>,
+    cache: PlanCache,
     metrics: ServiceMetrics,
     next_ticket: AtomicU64,
     /// Execution backend for the execute-after-optimize path; absent in a
@@ -360,8 +305,6 @@ pub struct Service {
     /// Process-wide executor-memory accounting: operator state, spooled
     /// CTEs, and cached fragments all charge here.
     exec_budget: Arc<MemoryBudget>,
-    /// Optimizations currently in flight, by query fingerprint.
-    inflight: Mutex<HashMap<u64, Arc<Inflight>>>,
 }
 
 impl Service {
@@ -375,7 +318,7 @@ impl Service {
         let exec_budget = Arc::new(MemoryBudget::new(config.executor_memory_bytes));
         Service {
             gate: AdmissionGate::new(max_concurrent, config.queue_depth),
-            cache: Arc::new(PlanCache::new(config.cache_bytes, config.cache_shards)),
+            cache: PlanCache::new(config.cache_bytes),
             metrics: ServiceMetrics::new(),
             sessions: SessionManager::new(),
             next_ticket: AtomicU64::new(0),
@@ -386,7 +329,6 @@ impl Service {
             ),
             grants: Arc::new(MemoryGrantBroker::new(config.executor_memory_bytes)),
             exec_budget,
-            inflight: Mutex::new(HashMap::new()),
             optimizer,
             config,
         }
@@ -412,7 +354,7 @@ impl Service {
         &self.config
     }
 
-    pub fn cache(&self) -> &Arc<PlanCache> {
+    pub fn cache(&self) -> &PlanCache {
         &self.cache
     }
 
@@ -467,15 +409,21 @@ impl Service {
         self.submit_query(session, &query, budget)
     }
 
-    /// Submit an already-parsed query document (what in-process callers and
-    /// the bench harness use to skip XML parsing).
+    /// Submit an already-parsed query document (what in-process callers
+    /// use to skip XML parsing). The rows are collected into the ticket's
+    /// `execution.rows`.
     pub fn submit_query(
         &self,
         session: SessionId,
         query: &DxlQuery,
         budget: Option<Duration>,
     ) -> Result<PlanTicket> {
-        self.submit_query_inner(session, query, budget, None)
+        let mut sink = CollectSink::default();
+        let mut ticket = self.submit_query_inner(session, query, budget, &mut sink)?;
+        if let Some(execution) = &mut ticket.response.execution {
+            execution.rows = sink.rows;
+        }
+        Ok(ticket)
     }
 
     /// Submit a DXL document and stream the response through `sink`: the
@@ -489,7 +437,7 @@ impl Service {
         sink: &mut dyn StreamSink,
     ) -> Result<PlanTicket> {
         let query = orca_dxl::parse_query(dxl, self.optimizer.provider().as_ref())?;
-        self.submit_query_inner(session, &query, budget, Some(sink))
+        self.submit_query_inner(session, &query, budget, sink)
     }
 
     fn submit_query_inner(
@@ -497,7 +445,7 @@ impl Service {
         session: SessionId,
         query: &DxlQuery,
         budget: Option<Duration>,
-        mut sink: Option<&mut dyn StreamSink>,
+        sink: &mut dyn StreamSink,
     ) -> Result<PlanTicket> {
         let started = Instant::now();
         let deadline = budget.map(|b| started + b);
@@ -528,15 +476,13 @@ impl Service {
         match self.cache.lookup(fingerprint, &current_ids) {
             CacheLookup::Hit(cached) => {
                 ServiceMetrics::bump(&self.metrics.cache_hits);
-                if let Some(s) = sink.as_deref_mut() {
-                    s.on_plan(&PlanHeader {
-                        plan_dxl: &cached.plan_dxl,
-                        cost: cached.cost,
-                        degraded: false,
-                        source: PlanSource::Cache,
-                        fingerprint,
-                    })?;
-                }
+                sink.on_plan(&PlanHeader {
+                    plan_dxl: &cached.plan_dxl,
+                    cost: cached.cost,
+                    degraded: false,
+                    source: PlanSource::Cache,
+                    fingerprint,
+                })?;
                 let execution =
                     self.maybe_execute(&cached.plan, &query.output_cols, cached.cost, sink)?;
                 return Ok(self.ticket(
@@ -559,30 +505,6 @@ impl Service {
                 ServiceMetrics::bump(&self.metrics.cache_misses);
             }
         }
-
-        // Coalesce with an identical request already in flight: same
-        // fingerprint, same versioned id set. A follower parks on the
-        // leader's entry instead of taking an admission slot, and reuses
-        // the leader's full response — execution result included.
-        // Streaming submissions bypass the in-flight table on both sides:
-        // their rows go to the wire as they are produced, so there is no
-        // materialized response to share and nothing to replay.
-        let lease = if sink.is_some() {
-            None
-        } else {
-            match self.join_inflight(fingerprint, &current_ids, deadline) {
-                InflightJoin::Lead(lease) => Some(lease),
-                InflightJoin::Shared(response) => {
-                    ServiceMetrics::bump(&self.metrics.coalesced);
-                    let mut response = *response;
-                    response.source = PlanSource::Coalesced;
-                    response.queue_wait = Duration::ZERO;
-                    response.latency = started.elapsed();
-                    return Ok(self.ticket(ticket_id, session, response));
-                }
-                InflightJoin::Alone => None,
-            }
-        };
 
         let queue_wait = match self.gate.acquire(ticket_id, deadline) {
             Admission::Immediate => Duration::ZERO,
@@ -648,37 +570,30 @@ impl Service {
                     );
                 }
                 self.metrics.record_latency(started.elapsed());
-                if let Some(s) = sink.as_deref_mut() {
-                    s.on_plan(&PlanHeader {
-                        plan_dxl: &plan_dxl,
-                        cost: stats.plan_cost,
-                        degraded,
-                        source: PlanSource::Fresh,
-                        fingerprint,
-                    })?;
-                }
-                let execution =
-                    self.maybe_execute(&plan, &query.output_cols, stats.plan_cost, sink)?;
-                let response = PlanResponse {
-                    plan_dxl,
+                sink.on_plan(&PlanHeader {
+                    plan_dxl: &plan_dxl,
                     cost: stats.plan_cost,
                     degraded,
                     source: PlanSource::Fresh,
                     fingerprint,
-                    queue_wait,
-                    latency: started.elapsed(),
-                    stats: Some(stats),
-                    execution,
-                };
-                match lease {
-                    // Only clean results are shared; a truncated search's
-                    // best-so-far is not worth fanning out (mirrors the
-                    // don't-cache-degraded rule above). Dropping the lease
-                    // releases followers to optimize on their own.
-                    Some(lease) if !degraded => lease.publish(&response),
-                    _ => {}
-                }
-                Ok(self.ticket(ticket_id, session, response))
+                })?;
+                let execution =
+                    self.maybe_execute(&plan, &query.output_cols, stats.plan_cost, sink)?;
+                Ok(self.ticket(
+                    ticket_id,
+                    session,
+                    PlanResponse {
+                        plan_dxl,
+                        cost: stats.plan_cost,
+                        degraded,
+                        source: PlanSource::Fresh,
+                        fingerprint,
+                        queue_wait,
+                        latency: started.elapsed(),
+                        stats: Some(stats),
+                        execution,
+                    },
+                ))
             }
             Err(OrcaError::Timeout(_)) => self.fallback(
                 ticket_id,
@@ -691,69 +606,6 @@ impl Service {
                 sink,
             ),
             Err(e) => Err(e),
-        }
-    }
-
-    /// Pin a cached plan (by response fingerprint) so LRU pressure cannot
-    /// evict it — prepared-statement semantics. Version invalidation still
-    /// applies.
-    pub fn pin_plan(&self, fingerprint: u64) -> Option<PinGuard> {
-        self.cache.pin(fingerprint)
-    }
-
-    /// Register as in-flight leader for `fingerprint`, or attach to an
-    /// identical request already in flight and await its result.
-    fn join_inflight(
-        &self,
-        fingerprint: u64,
-        md_ids: &[MdId],
-        deadline: Option<Instant>,
-    ) -> InflightJoin<'_> {
-        let entry = {
-            let mut map = self.inflight.lock().unwrap();
-            match map.get(&fingerprint) {
-                Some(e) if e.md_ids == md_ids => {
-                    #[cfg(test)]
-                    e.waiters.fetch_add(1, Ordering::SeqCst);
-                    Arc::clone(e)
-                }
-                // Same shape against different catalog versions: neither
-                // reusable nor worth displacing — optimize solo.
-                Some(_) => return InflightJoin::Alone,
-                None => {
-                    let e = Arc::new(Inflight {
-                        md_ids: md_ids.to_vec(),
-                        done: Mutex::new(None),
-                        cv: Condvar::new(),
-                        #[cfg(test)]
-                        waiters: AtomicU64::new(0),
-                    });
-                    map.insert(fingerprint, Arc::clone(&e));
-                    return InflightJoin::Lead(InflightLease {
-                        service: self,
-                        fingerprint,
-                        entry: e,
-                        published: false,
-                    });
-                }
-            }
-        };
-        match self.await_inflight(&entry, deadline) {
-            Some(response) => InflightJoin::Shared(Box::new(response)),
-            None => InflightJoin::Alone,
-        }
-    }
-
-    /// Park until the in-flight leader finishes (or this request's own
-    /// deadline expires); the leader's lease guarantees `done` is always
-    /// set and notified.
-    fn await_inflight(&self, entry: &Inflight, deadline: Option<Instant>) -> Option<PlanResponse> {
-        let mut done = entry.done.lock().unwrap();
-        loop {
-            if let Some(outcome) = done.as_ref() {
-                return outcome.clone();
-            }
-            done = wait_until(&entry.cv, done, deadline).ok()?;
         }
     }
 
@@ -802,7 +654,7 @@ impl Service {
         fingerprint: u64,
         started: Instant,
         queue_wait: Duration,
-        mut sink: Option<&mut dyn StreamSink>,
+        sink: &mut dyn StreamSink,
     ) -> Result<PlanTicket> {
         let registry = ColumnRegistry::new();
         for (name, ty) in &query.columns {
@@ -815,15 +667,13 @@ impl Service {
             plan: plan.clone(),
             cost,
         });
-        if let Some(s) = sink.as_deref_mut() {
-            s.on_plan(&PlanHeader {
-                plan_dxl: &plan_dxl,
-                cost,
-                degraded: true,
-                source: PlanSource::Fallback,
-                fingerprint,
-            })?;
-        }
+        sink.on_plan(&PlanHeader {
+            plan_dxl: &plan_dxl,
+            cost,
+            degraded: true,
+            source: PlanSource::Fallback,
+            fingerprint,
+        })?;
         let execution = self.maybe_execute(&plan, &query.output_cols, cost, sink)?;
         Ok(self.ticket(
             ticket_id,
@@ -843,7 +693,8 @@ impl Service {
     }
 
     /// Execute-after-optimize: run `plan` on the attached database when
-    /// the service is configured to. Quietly skipped (returns `None`)
+    /// the service is configured to, sending the rows to `sink`. Quietly
+    /// skipped (returns `None`)
     /// when execution is off or no database is attached; execution
     /// *errors* are not quiet — a plan that fails to run is a failed
     /// request.
@@ -852,7 +703,7 @@ impl Service {
         plan: &PhysicalPlan,
         output_cols: &[ColId],
         cost: f64,
-        mut sink: Option<&mut dyn StreamSink>,
+        sink: &mut dyn StreamSink,
     ) -> Result<Option<ExecSummary>> {
         let Some(exec_cfg) = &self.config.execute else {
             return Ok(None);
@@ -884,20 +735,16 @@ impl Service {
                 .with_fragments(Arc::clone(&self.fragments))
                 .with_memory(Arc::clone(&tracker));
             let r = engine.run(plan, output_cols)?;
-            let mut rows = r.rows;
-            if let Some(s) = sink.as_deref_mut() {
-                // The gang merge materialized the rowset; replay it to
-                // the sink in batch-sized frames so clients see one
-                // response shape regardless of engine.
-                for chunk in rows.chunks(exec_cfg.batch_rows.max(1)) {
-                    if !s.on_rows(chunk)? {
-                        break;
-                    }
+            // The gang merge materialized the rowset; replay it to the
+            // sink in batch-sized frames so clients see one response
+            // shape regardless of engine.
+            for chunk in r.rows.chunks(exec_cfg.batch_rows.max(1)) {
+                if !sink.on_rows(chunk)? {
+                    break;
                 }
-                rows = Vec::new();
             }
             ExecSummary {
-                rows,
+                rows: Vec::new(),
                 latency: t0.elapsed(),
                 stats: r.stats,
                 parallel: Some(r.parallel),
@@ -910,8 +757,8 @@ impl Service {
         } else {
             // The serial path streams through a cursor: rows arrive batch
             // by batch while the producer is still running, instead of one
-            // fully-materialized rowset at the end. With a sink attached
-            // the batches go straight out and are never buffered here.
+            // fully-materialized rowset at the end, and go straight to the
+            // sink without being buffered here.
             let mut cursor = Cursor::open(
                 Arc::clone(db),
                 plan,
@@ -923,30 +770,20 @@ impl Service {
                     mem: Some(Arc::clone(&tracker)),
                 },
             );
-            let mut rows = Vec::new();
             let mut first_batch = None;
             let mut streamed = false;
-            let mut early_closed = false;
             while let Some(batch) = cursor.next_batch()? {
                 if first_batch.is_none() {
                     first_batch = Some(t0.elapsed());
                     streamed = !cursor.producer_finished();
                 }
-                match sink.as_deref_mut() {
-                    Some(s) => {
-                        if !s.on_rows(&batch)? {
-                            early_closed = true;
-                            break;
-                        }
-                    }
-                    None => rows.extend(batch),
+                if !sink.on_rows(&batch)? {
+                    // Client closed the stream: cancel the producer and
+                    // discard what it had queued. The request still counts
+                    // as executed; the summary reports what actually ran.
+                    cursor.close();
+                    break;
                 }
-            }
-            if early_closed {
-                // Client closed the stream: cancel the producer and
-                // discard what it had queued. The request still counts
-                // as executed; the summary reports what actually ran.
-                cursor.close();
             }
             let stats = match cursor.summary() {
                 Some(r) => r.stats.clone(),
@@ -955,7 +792,7 @@ impl Service {
                 None => ExecStats::default(),
             };
             ExecSummary {
-                rows,
+                rows: Vec::new(),
                 latency: t0.elapsed(),
                 stats,
                 parallel: None,
@@ -1174,93 +1011,6 @@ mod tests {
         assert!(st.p50_execute > Duration::ZERO || st.exec_latency_samples > 0);
     }
 
-    fn stub_response(fingerprint: u64) -> PlanResponse {
-        PlanResponse {
-            plan_dxl: "plan".into(),
-            cost: 1.0,
-            degraded: false,
-            source: PlanSource::Fresh,
-            fingerprint,
-            queue_wait: Duration::ZERO,
-            latency: Duration::ZERO,
-            stats: None,
-            execution: None,
-        }
-    }
-
-    #[test]
-    fn follower_reuses_a_published_inflight_result() {
-        let p = provider_with_tables(2);
-        let svc = Arc::new(Service::new(p.clone(), ServiceConfig::default()));
-        let ids = vec![p.table_by_name("t0").unwrap()];
-
-        let lease = match svc.join_inflight(42, &ids, None) {
-            InflightJoin::Lead(l) => l,
-            _ => panic!("first joiner must lead"),
-        };
-        let follower = {
-            let svc = Arc::clone(&svc);
-            let ids = ids.clone();
-            std::thread::spawn(move || match svc.join_inflight(42, &ids, None) {
-                InflightJoin::Shared(r) => r,
-                InflightJoin::Lead(_) => panic!("identical request must not re-lead"),
-                InflightJoin::Alone => panic!("identical request must coalesce"),
-            })
-        };
-        // Publishing unregisters the entry, so a follower that arrived
-        // after it would lead: publish only once the follower is attached.
-        while lease.entry.waiters.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
-        lease.publish(&stub_response(42));
-        let got = follower.join().unwrap();
-        assert_eq!(got.plan_dxl, "plan");
-        // The entry is unregistered on publish: the next arrival leads.
-        assert!(matches!(
-            svc.join_inflight(42, &ids, None),
-            InflightJoin::Lead(_)
-        ));
-    }
-
-    #[test]
-    fn dropped_lease_releases_followers_empty_handed() {
-        let p = provider_with_tables(2);
-        let svc = Arc::new(Service::new(p.clone(), ServiceConfig::default()));
-        let ids = vec![p.table_by_name("t0").unwrap()];
-        let lease = match svc.join_inflight(7, &ids, None) {
-            InflightJoin::Lead(l) => l,
-            _ => panic!("first joiner must lead"),
-        };
-        let entry = Arc::clone(&lease.entry);
-        let follower = {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || svc.await_inflight(&entry, None))
-        };
-        drop(lease); // leader went degraded/fallback/error
-        assert!(
-            follower.join().unwrap().is_none(),
-            "followers must fall through, not hang or reuse"
-        );
-        assert!(svc.inflight.lock().unwrap().is_empty());
-    }
-
-    #[test]
-    fn version_skewed_twin_does_not_coalesce() {
-        let p = provider_with_tables(2);
-        let svc = Service::new(p.clone(), ServiceConfig::default());
-        let ids_a = vec![p.table_by_name("t0").unwrap()];
-        let ids_b = vec![p.table_by_name("t1").unwrap()];
-        let _lease = match svc.join_inflight(9, &ids_a, None) {
-            InflightJoin::Lead(l) => l,
-            _ => panic!("first joiner must lead"),
-        };
-        // Same fingerprint, different id set: optimize solo, unregistered.
-        assert!(matches!(
-            svc.join_inflight(9, &ids_b, None),
-            InflightJoin::Alone
-        ));
-    }
-
     #[test]
     fn concurrent_identical_submissions_account_for_every_source() {
         let p = provider_with_tables(2);
@@ -1281,26 +1031,27 @@ mod tests {
             })
             .collect();
         let responses: Vec<PlanResponse> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        let mut counts = HashMap::new();
+        let mut counts = std::collections::HashMap::new();
         for r in &responses {
             assert!(!r.degraded);
             assert_eq!(r.plan_dxl, responses[0].plan_dxl, "all must get one plan");
+            assert!(
+                matches!(r.source, PlanSource::Fresh | PlanSource::Cache),
+                "every racer optimizes or hits the cache, got {:?}",
+                r.source
+            );
             *counts.entry(r.source).or_insert(0u64) += 1;
         }
-        assert_eq!(counts.get(&PlanSource::Fallback), None);
         let st = svc.stats();
         // Every response source must be reflected in the counters, however
         // the race resolved.
         assert_eq!(
-            st.coalesced,
-            counts.get(&PlanSource::Coalesced).copied().unwrap_or(0)
-        );
-        assert_eq!(
             st.cache_hits,
             counts.get(&PlanSource::Cache).copied().unwrap_or(0)
         );
+        assert_eq!(st.cache_hits + st.cache_misses, n as u64);
+        assert_eq!(st.coalesced, 0);
         assert!(counts.get(&PlanSource::Fresh).copied().unwrap_or(0) >= 1);
-        assert!(svc.inflight.lock().unwrap().is_empty());
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub struct ServiceStats {
     pub cache_bytes: u64,
     /// Plans currently resident in the plan cache.
     pub cache_entries: u64,
-    /// Requests that attached to an identical in-flight optimization and
-    /// reused its result instead of optimizing themselves.
+    /// Always 0: every request optimizes or hits the plan cache on its
+    /// own, nothing coalesces. Kept because benchmark ledgers report it.
     pub coalesced: u64,
     /// Plans executed after planning (execute-after-optimize path).
     pub executed: u64,
@@ -107,7 +107,6 @@ pub struct ServiceMetrics {
     pub degraded: AtomicU64,
     pub cache_hits: AtomicU64,
     pub cache_misses: AtomicU64,
-    pub coalesced: AtomicU64,
     pub executed: AtomicU64,
     pub net_connections: AtomicU64,
     pub net_requests: AtomicU64,
@@ -172,7 +171,7 @@ impl ServiceMetrics {
     }
 
     /// Snapshot counters and compute latency percentiles. Cache counters
-    /// are passed in by the owner (they live next to the shards).
+    /// are passed in by the owner (they live in the plan cache).
     pub fn snapshot(&self, cache_evictions: u64, cache_invalidations: u64) -> ServiceStats {
         let (p50, p99, n) = self.latencies.lock().percentiles();
         let (ep50, ep99, en) = self.exec_latencies.lock().percentiles();
@@ -185,7 +184,7 @@ impl ServiceMetrics {
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             cache_evictions,
             cache_invalidations,
-            coalesced: self.coalesced.load(Ordering::Relaxed),
+            coalesced: 0,
             executed: self.executed.load(Ordering::Relaxed),
             net_connections: self.net_connections.load(Ordering::Relaxed),
             net_requests: self.net_requests.load(Ordering::Relaxed),

@@ -112,7 +112,6 @@ fn source_code(s: PlanSource) -> u8 {
     match s {
         PlanSource::Cache => 0,
         PlanSource::Fresh => 1,
-        PlanSource::Coalesced => 2,
         PlanSource::Fallback => 3,
     }
 }
@@ -121,7 +120,6 @@ fn source_from_code(b: u8) -> Result<PlanSource> {
     Ok(match b {
         0 => PlanSource::Cache,
         1 => PlanSource::Fresh,
-        2 => PlanSource::Coalesced,
         3 => PlanSource::Fallback,
         _ => return Err(OrcaError::Net(format!("bad plan source code {b}"))),
     })

@@ -13,7 +13,7 @@ use orca_expr::logical::{LogicalExpr, LogicalOp, TableRef};
 use orca_expr::props::{DistSpec, OrderSpec};
 use orca_expr::scalar::{CmpOp, ScalarExpr};
 use orca_expr::ColumnRegistry;
-use orca_service::{ExecuteConfig, PlanSource, Service, ServiceConfig};
+use orca_service::{ExecuteConfig, Service, ServiceConfig};
 use std::sync::Arc;
 
 const ROWS: i64 = 6000;
@@ -118,12 +118,7 @@ fn sixteen_sessions_hammer_a_small_memory_pool() {
             let mut spilled = 0u64;
             for _ in 0..3 {
                 let ticket = svc.submit_query(session, &query, None).unwrap();
-                let r = ticket.response;
-                // A coalesced follower carries a *clone* of the leader's
-                // execution: correct rows, but no grant of its own — it
-                // must not count against the broker's admission totals.
-                let coalesced = r.source == PlanSource::Coalesced;
-                if let Some(exec) = r.execution {
+                if let Some(exec) = ticket.response.execution {
                     // Unique join keys on both sides: one row per key.
                     assert_eq!(exec.rows.len(), ROWS as usize);
                     assert!(exec.mem_granted > 0);
@@ -132,10 +127,8 @@ fn sixteen_sessions_hammer_a_small_memory_pool() {
                         "with 128 KiB squatted, at most 64 KiB was grantable"
                     );
                     assert!(exec.mem_degraded);
-                    if !coalesced {
-                        executed += 1;
-                        spilled += exec.stats.spill_partitions;
-                    }
+                    executed += 1;
+                    spilled += exec.stats.spill_partitions;
                 }
             }
             svc.close_session(session).unwrap();
@@ -151,21 +144,16 @@ fn sixteen_sessions_hammer_a_small_memory_pool() {
     }
     drop(hog);
 
-    // Coalesced followers reuse the leader's execution, so not all 48
-    // submissions execute — but cache-hit resubmissions all do, and at
-    // most 15 round-1 followers can coalesce.
-    assert!(executed >= 16, "executed only {executed} of >= 16");
+    // Every submission runs its own execution.
+    assert_eq!(executed, 48, "executed only {executed} of 48");
     // A degraded 64 KiB grant is 16 KiB per segment against ~25 KiB of
     // per-segment build state: every execution spilled rather than OOMed.
     assert!(spilled > 0, "memory pressure should have forced spills");
 
     let st = svc.stats();
-    assert!(st.mem_admitted >= executed);
-    assert!(
-        st.mem_queued >= executed,
-        "every grant contended with the hog"
-    );
-    assert!(st.mem_degraded_grants >= executed);
+    assert!(st.mem_admitted >= 48);
+    assert!(st.mem_queued >= 48, "every grant contended with the hog");
+    assert!(st.mem_degraded_grants >= 48);
     assert!(st.mem_peak_bytes > 0);
     // The storm passed: every grant was released back to the pool.
     assert_eq!(svc.grants().available_bytes(), 192 * 1024);

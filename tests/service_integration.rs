@@ -176,11 +176,9 @@ fn concurrent_submissions_survive_version_bumps() {
                 for _ in 0..ROUNDS {
                     let t = svc.submit_query(session, &query, None).expect("submit");
                     assert!(!t.response.degraded);
-                    // Identical requests racing the same miss may coalesce
-                    // onto one in-flight optimization.
                     assert!(matches!(
                         t.response.source,
-                        PlanSource::Fresh | PlanSource::Cache | PlanSource::Coalesced
+                        PlanSource::Fresh | PlanSource::Cache
                     ));
                     plans.push(t.response.plan_dxl);
                 }
