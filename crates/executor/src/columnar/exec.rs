@@ -879,6 +879,44 @@ fn cmp_rows_at(
     Ordering::Equal
 }
 
+/// K-way merge of sorted sources (one per sending segment) into batches
+/// of `cap` rows, tie-breaking on the lowest source (same contract as the
+/// row kernel's `kway_merge`), but moving rows by index gathers instead
+/// of `Vec<Datum>` pops. Shared by the serial GatherMerge motion and the
+/// parallel interconnect's GatherMerge receiver.
+pub(crate) fn merge_sorted(
+    sources: &[ColumnBatch],
+    order: &OrderSpec,
+    layout: &[ColId],
+    cap: usize,
+) -> Vec<ColumnBatch> {
+    let keys = order_positions(order, layout);
+    let mut heads = vec![0usize; sources.len()];
+    let mut w = BatchWriter::new(layout.len(), cap);
+    loop {
+        let mut best: Option<usize> = None;
+        for (src, c) in sources.iter().enumerate() {
+            if heads[src] >= c.len {
+                continue;
+            }
+            best = match best {
+                None => Some(src),
+                Some(b) => {
+                    if cmp_rows_at(c, heads[src], &sources[b], heads[b], &keys) == Ordering::Less {
+                        Some(src)
+                    } else {
+                        Some(b)
+                    }
+                }
+            };
+        }
+        let Some(b) = best else { break };
+        w.append_row_from(&sources[b], heads[b]);
+        heads[b] += 1;
+    }
+    w.finish()
+}
+
 /// FNV over the key columns of row `i` — the same hash stream as
 /// `Datum::hash`, so bucket contents match the row kernel's map.
 fn hash_key_at(b: &ColumnBatch, pos: &[usize], i: usize) -> (u64, bool) {
@@ -1246,42 +1284,12 @@ fn cexec_motion(
             out.avail[0] = input.elapsed() + ctx.net_time(bytes);
         }
         MotionKind::GatherMerge(order) => {
-            // Streaming k-way merge over per-segment sorted inputs,
-            // tie-breaking on the lowest source segment (same contract as
-            // the row kernel's `kway_merge`), but moving rows by index
-            // gathers instead of `Vec<Datum>` pops.
             let sources: Vec<ColumnBatch> = one_copy_batches(ctx, &input)
                 .iter()
                 .map(|bl| ColumnBatch::concat(bl, width))
                 .collect();
-            let keys = order_positions(order, &input.layout);
-            let mut heads = vec![0usize; sources.len()];
-            let mut w = BatchWriter::new(width, bs);
-            loop {
-                let mut best: Option<usize> = None;
-                for (src, c) in sources.iter().enumerate() {
-                    if heads[src] >= c.len {
-                        continue;
-                    }
-                    best = match best {
-                        None => Some(src),
-                        Some(b) => {
-                            if cmp_rows_at(c, heads[src], &sources[b], heads[b], &keys)
-                                == Ordering::Less
-                            {
-                                Some(src)
-                            } else {
-                                Some(b)
-                            }
-                        }
-                    };
-                }
-                let Some(b) = best else { break };
-                w.append_row_from(&sources[b], heads[b]);
-                heads[b] += 1;
-            }
-            let len = w.rows();
-            out.per_seg[0] = w.finish();
+            out.per_seg[0] = merge_sorted(&sources, order, &input.layout, bs);
+            let len = out.per_seg[0].iter().map(|b| b.len).sum();
             ctx.stats.bytes_moved += bytes as u64;
             out.avail[0] = input.elapsed() + ctx.net_time(bytes) * 1.15 + ctx.tup_time(len) * 0.2;
         }

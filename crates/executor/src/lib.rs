@@ -18,12 +18,13 @@
 //!   evaluation, and batch-keyed joins/aggregates. Produces byte-identical
 //!   results to [`exec`] (the row kernel is the differential oracle) with
 //!   far less per-row interpretation work.
-//! * [`merge`] — streaming k-way merge shared by the serial GatherMerge
-//!   motion and the parallel interconnect's merge receiver.
+//! * [`merge`] — streaming k-way merge shared by the row kernel's
+//!   GatherMerge motion and the spill sort.
 //! * [`parallel`] — the parallel engine: plans cut into slices at motion
-//!   boundaries, one gang of single-segment kernels per slice, batched
-//!   bounded-channel interconnect with backpressure (§2.1's dispatcher /
-//!   interconnect, realized with host threads).
+//!   boundaries, one gang of single-segment kernels per slice, run as a
+//!   dependency-ordered pass on a few worker threads, with batches
+//!   delivered into per-receiver mailboxes (§2.1's dispatcher /
+//!   interconnect).
 //! * [`mod@reference`] — an independent, naive single-node interpreter of
 //!   *logical* trees (including correlated-subquery markers, evaluated per
 //!   row). It serves as the correctness oracle for every physical plan and
@@ -34,8 +35,8 @@
 //! * [`codec`] — the self-delimiting columnar batch codec shared by
 //!   spill files and the network wire format.
 //! * [`net`] — the socket interconnect: a length-prefixed frame codec
-//!   for the `Msg` protocol, a TCP transport behind the same
-//!   sender/receiver surface as the in-process channels, and the
+//!   for the `Msg` protocol, a TCP transport whose reader threads fill
+//!   the same mailboxes as in-process senders, and the
 //!   [`net::ClusterTopology`] that maps segments onto peer processes.
 
 pub mod codec;

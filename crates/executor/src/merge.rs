@@ -1,11 +1,13 @@
 //! Streaming k-way merge of sorted row sources.
 //!
-//! Shared by the serial GatherMerge motion and the parallel
-//! interconnect's GatherMerge receiver: both hold one already-sorted
-//! stream per sending segment and must produce a single globally sorted
-//! stream whose order is **deterministic** — ties between sources break
-//! toward the lowest source index, which makes the merge byte-identical
-//! to a stable sort of the sources' concatenation (in source order).
+//! Shared by the row kernel's GatherMerge motion (one already-sorted
+//! stream per sending segment) and the spill sort (one per sorted run):
+//! both must produce a single globally sorted stream whose order is
+//! **deterministic** — ties between sources break toward the lowest
+//! source index, which makes the merge byte-identical to a stable sort
+//! of the sources' concatenation (in source order). The columnar kernel
+//! and the parallel interconnect merge batches under the same contract
+//! (`columnar::exec::merge_sorted`).
 
 use crate::eval::compare_rows;
 use crate::storage::Row;
@@ -14,8 +16,7 @@ use orca_expr::props::OrderSpec;
 use std::cmp::Ordering;
 
 /// A pull source of rows for the merge. `next_row` returns `None` when
-/// the source is exhausted; it may block (e.g. on an interconnect
-/// channel) and may fail (disconnect, abort).
+/// the source is exhausted; it may fail (e.g. a spill-file read).
 pub trait RowSource {
     fn next_row(&mut self) -> Result<Option<Row>>;
 }

@@ -31,8 +31,6 @@ pub const FRAME_BATCH: u8 = 4;
 pub const FRAME_EOS: u8 = 5;
 /// Control frame: typed error propagation (abort, deadline, failure).
 pub const FRAME_ABORT: u8 = 6;
-/// Receiver → sender: flow-control credit for `n` more batch frames.
-pub const FRAME_CREDIT: u8 = 7;
 
 /// Upper bound on a single frame body. A frame carries at most one
 /// interconnect batch; anything bigger is a corrupt length prefix, and
@@ -78,16 +76,6 @@ pub fn decode_handshake(payload: &[u8]) -> Result<EndpointKey> {
 
 pub fn encode_ack() -> Vec<u8> {
     frame(FRAME_ACK, &[])
-}
-
-pub fn encode_credit(n: u32) -> Vec<u8> {
-    let mut p = Vec::with_capacity(4);
-    codec::put_u32(&mut p, n);
-    frame(FRAME_CREDIT, &p)
-}
-
-pub fn decode_credit(payload: &[u8]) -> Result<u32> {
-    codec::Cursor::new(payload).u32()
 }
 
 /// Typed errors travel as `(kind, message)`; the receiving side rebuilds
@@ -156,7 +144,7 @@ pub fn encode_msg(msg: &Msg) -> Vec<u8> {
 }
 
 /// Decode a data-plane frame back into a protocol message. Handshake,
-/// ack, credit, and abort frames are transport-level and rejected here.
+/// ack and abort frames are transport-level and rejected here.
 pub fn decode_msg(ty: u8, payload: &[u8]) -> Result<Msg> {
     match ty {
         FRAME_OPEN => {
@@ -396,7 +384,6 @@ mod tests {
         for m in &sent {
             wire.extend_from_slice(&encode_msg(m));
         }
-        wire.extend_from_slice(&encode_credit(2));
         wire.extend_from_slice(&encode_abort(&OrcaError::Timeout("deadline".into())));
 
         for chunk in [1, 2, 3, 5, 7, 16, 64, 4096] {
@@ -407,7 +394,7 @@ mod tests {
                 starve: true,
             });
             let frames = drain(&mut reader);
-            assert_eq!(frames.len(), sent.len() + 2, "chunk={chunk}");
+            assert_eq!(frames.len(), sent.len() + 1, "chunk={chunk}");
             for (i, (ty, payload)) in frames[..sent.len()].iter().enumerate() {
                 let msg = decode_msg(*ty, payload).unwrap();
                 match (&msg, &sent[i]) {
@@ -447,9 +434,7 @@ mod tests {
                     (got, want) => panic!("frame {i}: got {got:?}, want {want:?}"),
                 }
             }
-            assert_eq!(frames[sent.len()].0, FRAME_CREDIT);
-            assert_eq!(decode_credit(&frames[sent.len()].1).unwrap(), 2);
-            let err = decode_abort(&frames[sent.len() + 1].1).unwrap();
+            let err = decode_abort(&frames[sent.len()].1).unwrap();
             assert_eq!(err, OrcaError::Timeout("deadline".into()));
         }
     }

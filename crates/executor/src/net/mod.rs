@@ -10,22 +10,22 @@
 //!   [`crate::codec`] columnar layout, so dictionary-encoded string
 //!   columns cross the wire without decoding, and the simulated-clock
 //!   fields ride as bit-exact `f64`s.
-//! * [`transport`] — a TCP transport behind the same sender/receiver
-//!   surface as the in-process bounded channels: per-edge connections
-//!   with a `{query, motion, sender, receiver}` handshake, credit-based
-//!   send windows preserving backpressure, abort/deadline propagation
-//!   via control frames, and capped-exponential-backoff connects that
-//!   exhaust into a typed [`orca_common::OrcaError::Net`].
+//! * [`transport`] — a TCP transport behind the same sender surface as
+//!   in-process edges: per-edge connections with a `{query, motion,
+//!   sender, receiver}` handshake, a reader thread per connection that
+//!   fills the receiving instance's mailbox slot, abort/deadline
+//!   propagation via control frames, and capped-exponential-backoff
+//!   connects that exhaust into a typed [`orca_common::OrcaError::Net`].
 //! * [`ClusterTopology`] — the static map from segment to owning peer
-//!   process. Edges whose two instances land on the same peer use the
-//!   in-process channel fast path; a single-peer topology therefore
-//!   creates no sockets at all.
+//!   process. Edges whose two instances land on the same peer deliver
+//!   straight into the receiver's mailbox; a single-peer topology
+//!   therefore creates no sockets at all.
 
 pub mod frame;
 pub mod transport;
 
 pub use frame::EndpointKey;
-pub use transport::{NetReceiver, NetSender, NetServer};
+pub use transport::{NetSender, NetServer};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -57,7 +57,7 @@ impl Default for NetConfig {
 /// Static cluster map: which peer process owns each segment.
 ///
 /// Whole segments are assigned to peers, so everything keyed by segment
-/// (spool partitions, storage shards, CTE rendezvous) stays
+/// (spool partitions, storage shards, spooled CTEs) stays
 /// process-local; only motion edges whose sender and receiver segments
 /// live on different peers become TCP connections. Peer `0` is the
 /// coordinator — it parses the query, runs the optimizer, and owns the
@@ -143,7 +143,7 @@ impl NetShared {
 /// in-process).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetStats {
-    /// Frames written to sockets (handshakes, acks, credits, data).
+    /// Frames written to sockets (handshakes, acks, data).
     pub frames_tx: u64,
     /// Frames read off sockets.
     pub frames_rx: u64,
@@ -170,8 +170,6 @@ pub struct NetMotionCounters {
     pub bytes_tx: AtomicU64,
     pub frames_rx: AtomicU64,
     pub bytes_rx: AtomicU64,
-    /// Deepest credit-window occupancy seen on any edge of this motion.
-    pub peak_queue: AtomicU64,
 }
 
 /// One process's handle on the cluster: its rendezvous server plus its

@@ -1,29 +1,25 @@
 //! TCP transport for the interconnect: rendezvous server, connecting
-//! sender endpoints, and queue-backed receiver endpoints.
+//! sender endpoints, and mailbox-filling reader threads.
 //!
 //! One TCP connection carries one directed motion edge. The sender
 //! connects to the receiver's [`NetServer`], identifies the edge with a
 //! handshake frame, and waits for an `Ack` before shipping `Open /
-//! Batch* / Eos`. Flow control is credit-based: the receiver grants
-//! `capacity` batch credits up front and returns one per batch its
-//! consumer actually takes, so at most `capacity` batches are in flight
-//! per edge — the same backpressure window as the in-process bounded
-//! channels. Aborts, deadlines, and typed failures cross in either
-//! direction as `Abort` control frames; a dead peer surfaces as EOF on
-//! the next read and becomes a typed [`OrcaError::Net`] — never a hang.
-//! A receive blocks until a frame, a peer failure or its run's abort
-//! wakes it, and at most until the query deadline.
+//! Batch* / Eos`. The connection's reader thread on the receiving peer
+//! moves each frame into the registered [`Mailbox`] slot as it arrives,
+//! so a sender's writes never wait on the receiving task. Aborts,
+//! deadlines, and typed failures cross in either direction as `Abort`
+//! control frames; a dead peer surfaces as EOF on the next read and
+//! fails the mailbox with a typed [`OrcaError::Net`] — never a hang.
 
 use super::frame::{
-    decode_abort, decode_credit, decode_handshake, decode_msg, encode_abort, encode_ack,
-    encode_credit, encode_handshake, encode_msg, write_all_abort, EndpointKey, FrameReader,
-    FRAME_ABORT, FRAME_ACK, FRAME_CREDIT,
+    decode_abort, decode_handshake, decode_msg, encode_abort, encode_ack, encode_handshake,
+    encode_msg, write_all_abort, EndpointKey, FrameReader, FRAME_ABORT, FRAME_ACK,
 };
 use super::{NetConfig, NetMotionCounters, NetShared};
-use crate::parallel::interconnect::Msg;
+use crate::parallel::interconnect::{Mailbox, Msg};
 use orca_common::{OrcaError, Result};
 use orca_gpos::{wait_until, AbortSignal};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -46,116 +42,13 @@ fn configure(sock: &TcpStream) -> Result<()> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Receiver side.
-// ---------------------------------------------------------------------
-
-struct RecvState {
-    items: VecDeque<Msg>,
-    err: Option<OrcaError>,
-}
-
-/// Shared state of one inbound edge: the delivered-message queue fed by
-/// the connection's reader thread, plus the socket used to return
-/// credits to the sender.
-struct RecvShared {
-    state: Mutex<RecvState>,
-    ready: Condvar,
-    credit_sock: Mutex<Option<TcpStream>>,
+/// Where one inbound edge delivers: sender instance `sender`'s slot of a
+/// local receiving instance's mailbox.
+struct Endpoint {
+    mailbox: Arc<Mailbox>,
+    sender: usize,
     counters: Arc<NetMotionCounters>,
     shared: Arc<NetShared>,
-}
-
-impl RecvShared {
-    fn fail(&self, err: OrcaError) {
-        let mut st = self.state.lock().unwrap();
-        if st.err.is_none() {
-            st.err = Some(err);
-        }
-        drop(st);
-        self.ready.notify_all();
-    }
-
-    fn push(&self, msg: Msg) {
-        self.state.lock().unwrap().items.push_back(msg);
-        self.ready.notify_all();
-    }
-}
-
-/// The receiving end of one remote motion edge; drop-in peer of a
-/// crossbeam `Receiver<Msg>` behind the interconnect's receiver surface.
-pub struct NetReceiver {
-    shared: Arc<RecvShared>,
-}
-
-impl NetReceiver {
-    /// Pop the next delivered message, returning one flow-control credit
-    /// to the sender per consumed batch. Blocks until a message, a peer
-    /// failure (the typed error the reader thread recorded) or the abort
-    /// [`NetReceiver::waker`] wakes it, and at most until the deadline.
-    pub fn recv(&self, abort: &AbortSignal) -> Result<Msg> {
-        loop {
-            abort.check()?;
-            let mut st = self.shared.state.lock().unwrap();
-            while !abort.is_tripped() {
-                if let Some(msg) = st.items.pop_front() {
-                    drop(st);
-                    if matches!(msg, Msg::Batch(_)) {
-                        self.grant_credit(abort)?;
-                    }
-                    return Ok(msg);
-                }
-                if let Some(e) = st.err.clone() {
-                    return Err(e);
-                }
-                match wait_until(&self.shared.ready, st, abort.deadline()) {
-                    Ok(guard) => st = guard,
-                    // Past the deadline: `check` above trips the signal.
-                    Err(_) => break,
-                }
-            }
-        }
-    }
-
-    /// Wakes a `recv` blocked on this edge; register it with the run's
-    /// abort signal.
-    pub fn waker(&self) -> impl FnOnce() + Send + 'static {
-        let shared = Arc::clone(&self.shared);
-        move || {
-            drop(shared.state.lock());
-            shared.ready.notify_all();
-        }
-    }
-
-    fn grant_credit(&self, abort: &AbortSignal) -> Result<()> {
-        let mut guard = self.shared.credit_sock.lock().unwrap();
-        if let Some(sock) = guard.as_mut() {
-            let buf = encode_credit(1);
-            if write_all_abort(sock, &buf, abort).is_err() {
-                // The sender already hung up. Credits exist only to
-                // unblock *it*, so a dead peer makes them moot: the
-                // batches being drained here were queued before the
-                // close, and any genuine mid-stream failure is surfaced
-                // by the reader side, not this advisory write.
-                *guard = None;
-                return Ok(());
-            }
-            self.shared
-                .counters
-                .frames_tx
-                .fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .counters
-                .bytes_tx
-                .fetch_add(buf.len() as u64, Ordering::Relaxed);
-            self.shared.shared.frames_tx.fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .shared
-                .bytes_tx
-                .fetch_add(buf.len() as u64, Ordering::Relaxed);
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -163,7 +56,7 @@ impl NetReceiver {
 // ---------------------------------------------------------------------
 
 struct ServerInner {
-    registry: Mutex<HashMap<EndpointKey, Arc<RecvShared>>>,
+    registry: Mutex<HashMap<EndpointKey, Endpoint>>,
     registered: Condvar,
     /// Open sockets per query, for abort broadcast and cleanup.
     conns: Mutex<HashMap<u64, Vec<TcpStream>>>,
@@ -185,7 +78,7 @@ impl ServerInner {
 }
 
 /// Accepts inbound motion-edge connections and routes each to the
-/// registered endpoint queue. One server per process; endpoints from
+/// registered mailbox slot. One server per process; endpoints from
 /// any number of concurrent queries rendezvous through it.
 pub struct NetServer {
     local_addr: SocketAddr,
@@ -219,31 +112,24 @@ impl NetServer {
         self.local_addr
     }
 
-    /// Register an expected inbound edge; the returned receiver delivers
-    /// its messages once the sending peer connects.
+    /// Register an expected inbound edge: once the sending peer
+    /// connects, its messages land in slot `sender` of `mailbox`.
     pub fn expect(
         &self,
         key: EndpointKey,
+        mailbox: Arc<Mailbox>,
+        sender: usize,
         counters: Arc<NetMotionCounters>,
         shared: Arc<NetShared>,
-    ) -> NetReceiver {
-        let recv = Arc::new(RecvShared {
-            state: Mutex::new(RecvState {
-                items: VecDeque::new(),
-                err: None,
-            }),
-            ready: Condvar::new(),
-            credit_sock: Mutex::new(None),
+    ) {
+        let endpoint = Endpoint {
+            mailbox,
+            sender,
             counters,
             shared,
-        });
-        self.inner
-            .registry
-            .lock()
-            .unwrap()
-            .insert(key, Arc::clone(&recv));
+        };
+        self.inner.registry.lock().unwrap().insert(key, endpoint);
         self.inner.registered.notify_all();
-        NetReceiver { shared: recv }
     }
 
     /// Track an outbound connection of `query` so abort broadcast and
@@ -327,8 +213,8 @@ fn accept_loop(listener: TcpListener, inner: Arc<ServerInner>) {
 }
 
 /// Handle one inbound connection: handshake → rendezvous → ack → pump
-/// data frames into the endpoint queue until EOS + close (or failure).
-fn serve_conn(sock: TcpStream, inner: Arc<ServerInner>) -> Result<()> {
+/// data frames into the mailbox slot until EOS + close (or failure).
+fn serve_conn(mut sock: TcpStream, inner: Arc<ServerInner>) -> Result<()> {
     configure(&sock)?;
     let reader_sock = sock.try_clone().map_err(|e| net_err("clone", e))?;
     let mut reader = FrameReader::new(reader_sock);
@@ -356,7 +242,7 @@ fn serve_conn(sock: TcpStream, inner: Arc<ServerInner>) -> Result<()> {
 
     // Rendezvous: wait for the local run to register the edge, at most
     // until the handshake deadline; `expect` and `shutdown` notify.
-    let endpoint: Arc<RecvShared> = {
+    let endpoint: Endpoint = {
         let mut registry = inner.registry.lock().unwrap();
         loop {
             if let Some(e) = registry.remove(&key) {
@@ -371,14 +257,11 @@ fn serve_conn(sock: TcpStream, inner: Arc<ServerInner>) -> Result<()> {
     };
 
     inner.track(key.query, &sock);
-    // Attach the write half for credits, then complete the open round
-    // trip.
-    let mut write_sock = sock.try_clone().map_err(|e| net_err("clone", e))?;
-    *endpoint.credit_sock.lock().unwrap() = Some(sock);
+    // Complete the open round trip.
     let ack = encode_ack();
     let signal = AbortSignal::new();
-    if let Err(e) = write_all_abort(&mut write_sock, &ack, &signal) {
-        endpoint.fail(e.clone());
+    if let Err(e) = write_all_abort(&mut sock, &ack, &signal) {
+        endpoint.mailbox.fail(e.clone());
         return Err(e);
     }
     endpoint.counters.frames_tx.fetch_add(1, Ordering::Relaxed);
@@ -392,7 +275,8 @@ fn serve_conn(sock: TcpStream, inner: Arc<ServerInner>) -> Result<()> {
         .bytes_tx
         .fetch_add(ack.len() as u64, Ordering::Relaxed);
 
-    // Data pump.
+    // Data pump. Once the slot holds its `Eos` the edge is complete: a
+    // later abort frame or EOF cannot take its data back.
     let mut saw_eos = false;
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
@@ -412,19 +296,32 @@ fn serve_conn(sock: TcpStream, inner: Arc<ServerInner>) -> Result<()> {
                     .bytes_rx
                     .fetch_add(frame_bytes, Ordering::Relaxed);
                 if ty == FRAME_ABORT {
-                    endpoint.fail(decode_abort(&payload)?);
+                    if !saw_eos {
+                        endpoint
+                            .mailbox
+                            .fail(decode_abort(&payload).unwrap_or_else(|e| e));
+                    }
                     return Ok(());
                 }
-                let msg = decode_msg(ty, &payload)?;
+                if saw_eos {
+                    return Err(OrcaError::Net(format!("frame {ty} after Eos")));
+                }
+                let msg = match decode_msg(ty, &payload) {
+                    Ok(msg) => msg,
+                    Err(e) => {
+                        endpoint.mailbox.fail(e.clone());
+                        return Err(e);
+                    }
+                };
                 saw_eos = matches!(msg, Msg::Eos);
-                endpoint.push(msg);
+                endpoint.mailbox.push(endpoint.sender, msg);
             }
             Ok(None) => {}
             Err(e) => {
                 // EOF after a clean EOS is the normal teardown; EOF (or
                 // any read failure) mid-stream is a dead peer.
                 if !saw_eos {
-                    endpoint.fail(e);
+                    endpoint.mailbox.fail(e);
                 }
                 return Ok(());
             }
@@ -439,19 +336,17 @@ fn serve_conn(sock: TcpStream, inner: Arc<ServerInner>) -> Result<()> {
 struct SenderInner {
     sock: TcpStream,
     reader: FrameReader<TcpStream>,
-    /// Batch credits remaining before the send window is exhausted.
-    window: usize,
     /// Ack received — the open round trip is complete.
     ready: bool,
     opened_at: Instant,
 }
 
 /// The sending end of one remote motion edge. Writes happen directly on
-/// the task thread (no writer thread): the credit window plus blocking
-/// writes give the same backpressure as a bounded channel.
+/// the task's thread (no writer thread); the receiving peer's reader
+/// thread drains every frame into a mailbox, so a write never waits on
+/// the receiving task.
 pub struct NetSender {
     inner: Mutex<SenderInner>,
-    capacity: usize,
     cfg: NetConfig,
     counters: Arc<NetMotionCounters>,
     shared: Arc<NetShared>,
@@ -465,7 +360,6 @@ impl NetSender {
     pub fn connect(
         addr: &str,
         key: EndpointKey,
-        capacity: usize,
         cfg: &NetConfig,
         abort: &AbortSignal,
         counters: Arc<NetMotionCounters>,
@@ -510,19 +404,16 @@ impl NetSender {
             inner: Mutex::new(SenderInner {
                 sock,
                 reader: FrameReader::new(reader_sock),
-                window: capacity.max(1),
                 ready: false,
                 opened_at: Instant::now(),
             }),
-            capacity: capacity.max(1),
             cfg: cfg.clone(),
             counters,
             shared,
         })
     }
 
-    /// Ship one protocol message. Batch messages consume a credit and
-    /// block (abort-aware) while the window is exhausted.
+    /// Ship one protocol message, first awaiting the handshake `Ack`.
     pub fn send(&self, msg: Msg, abort: &AbortSignal) -> Result<()> {
         let mut g = self.inner.lock().unwrap();
         let ack_deadline = g.opened_at + self.cfg.handshake_timeout;
@@ -531,17 +422,7 @@ impl NetSender {
             if Instant::now() > ack_deadline {
                 return Err(OrcaError::Net("peer never acknowledged handshake".into()));
             }
-            self.pump(&mut g)?;
-        }
-        if matches!(msg, Msg::Batch(_)) {
-            while g.window == 0 {
-                abort.check()?;
-                self.pump(&mut g)?;
-            }
-            g.window -= 1;
-            self.counters
-                .peak_queue
-                .fetch_max((self.capacity - g.window) as u64, Ordering::Relaxed);
+            self.await_ack(&mut g)?;
         }
         let buf = encode_msg(&msg);
         write_all_abort(&mut g.sock, &buf, abort)?;
@@ -556,14 +437,9 @@ impl NetSender {
         Ok(())
     }
 
-    /// Batches currently in flight (capacity minus remaining credits).
-    pub fn queued(&self) -> usize {
-        self.capacity - self.inner.lock().unwrap().window
-    }
-
-    /// Drain whatever control frames the peer sent: ack, credits, or a
-    /// typed abort. Returns after at most one poll interval.
-    fn pump(&self, g: &mut SenderInner) -> Result<()> {
+    /// Read the peer's answer to the handshake: an ack or a typed abort.
+    /// Returns after at most one poll interval.
+    fn await_ack(&self, g: &mut SenderInner) -> Result<()> {
         match g.reader.poll_frame()? {
             Some((FRAME_ACK, _)) => {
                 g.ready = true;
@@ -573,14 +449,6 @@ impl NetSender {
                     .fetch_max(rtt, Ordering::Relaxed);
                 self.shared.frames_rx.fetch_add(1, Ordering::Relaxed);
                 self.shared.bytes_rx.fetch_add(6, Ordering::Relaxed);
-            }
-            Some((FRAME_CREDIT, payload)) => {
-                let n = decode_credit(&payload)? as usize;
-                g.window = (g.window + n).min(self.capacity);
-                self.shared.frames_rx.fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .bytes_rx
-                    .fetch_add((payload.len() + 5) as u64, Ordering::Relaxed);
             }
             Some((FRAME_ABORT, payload)) => return Err(decode_abort(&payload)?),
             Some((ty, _)) => {
@@ -605,25 +473,61 @@ impl NetSender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::{ClusterTopology, NetNode};
+    use crate::parallel::ParallelEngine;
+    use crate::storage::Database;
+    use orca_catalog::{ColumnMeta, Distribution, TableDesc};
+    use orca_common::{ColId, DataType, Datum, MdId, SysId};
+    use orca_expr::logical::TableRef;
+    use orca_expr::physical::{PhysicalOp, PhysicalPlan};
 
-    /// A receiver registered with `expect` that never sees traffic
-    /// returns within a millisecond of the abort.
+    /// A distributed run whose remote edges never complete (the peer
+    /// hosting three of the four segments never runs the query) idles at
+    /// the run's one wait point and returns within a millisecond of the
+    /// abort.
     #[test]
     fn abort_wakes_an_idle_net_receiver() {
-        let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+        let mut db = Database::new(orca_common::SegmentConfig::default().with_segments(4));
+        let t = Arc::new(TableDesc::new(
+            MdId::new(SysId::Gpdb, 1, 1),
+            "t",
+            vec![ColumnMeta::new("a", DataType::Int)],
+            Distribution::Hashed(vec![0]),
+        ));
+        let rows = (0..40).map(|i| vec![Datum::Int(i)]).collect();
+        db.load_table(t.clone(), rows).unwrap();
+        let db = Arc::new(db);
+        // A motionless plan: the coordinator runs segment 0's root
+        // instance and waits for the other three over the result motion.
+        let plan = Arc::new(PhysicalPlan::leaf(PhysicalOp::TableScan {
+            table: TableRef(t),
+            cols: vec![ColId(0)],
+            parts: None,
+        }));
+        let coord = Arc::new(NetNode::bind("127.0.0.1:0", 0, NetConfig::default()).unwrap());
+        let idle = NetNode::bind("127.0.0.1:0", 1, NetConfig::default()).unwrap();
+        let topo = Arc::new(ClusterTopology {
+            peers: vec![coord.addr().to_string(), idle.addr().to_string()],
+            segment_peer: vec![0, 1, 1, 1],
+        });
         let mut query = 0;
         let median = crate::test_util::median_abort_latency(|abort| {
             query += 1;
-            let key = EndpointKey {
-                query,
-                motion: 0,
-                sender: 0,
-                receiver: 0,
-            };
-            let rx = server.expect(key, Arc::default(), Arc::default());
+            let (db, plan, coord, topo) = (
+                Arc::clone(&db),
+                Arc::clone(&plan),
+                Arc::clone(&coord),
+                Arc::clone(&topo),
+            );
             std::thread::spawn(move || {
-                let _wake = abort.on_abort(rx.waker());
-                rx.recv(&abort)
+                ParallelEngine::new(&db).run_distributed_with_abort(
+                    &plan,
+                    &[ColId(0)],
+                    &coord,
+                    &topo,
+                    query,
+                    &abort,
+                )
             })
         });
         assert!(median < Duration::from_millis(1), "median {median:?}");

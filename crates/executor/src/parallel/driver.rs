@@ -1,22 +1,27 @@
 //! The parallel driver: gang scheduling, cancellation, result assembly.
 //!
 //! Each slice×segment pair is one **task** with a three-phase lifecycle:
-//! receive every input motion's stream, run the columnar kernel
-//! ([`cexec`]) in single-segment mode, then send the output into the
-//! slice's parent motion (the root slice instead parks its stream for
-//! final assembly). The row kernel never runs a slice: it runs whole
-//! plans only, as the serial oracle gang results are compared against.
-//! Tasks get a dedicated thread — threads are cheap at gang scale — but
-//! only `workers` of them may be in the compute phase at once (a
-//! semaphore bounds CPU parallelism without ever being held across a
-//! channel operation, which is what makes the pool deadlock-free even at
-//! `workers == 1`: channel traffic always progresses).
+//! read every input motion's stream from its complete mailbox (and every
+//! spooled CTE it consumes), run the columnar kernel ([`cexec`]) in
+//! single-segment mode, then route the output into the receivers'
+//! mailboxes (the root slice instead parks its stream for final
+//! assembly). The row kernel never runs a slice: it runs whole plans
+//! only, as the serial oracle gang results are compared against.
 //!
-//! A failing task records its error and trips the shared [`AbortSignal`]
-//! before its channel ends drop. The run's abort waker then closes every
-//! local channel and wakes every socket receive and spool wait, and
-//! kernels check the signal at operator boundaries, so the gang drains
-//! and joins at once with the root cause. Deadlines ride the same signal.
+//! A run is one dependency-ordered pass over the tasks. A task is ready
+//! once every input mailbox holds all its senders' `Eos` and every
+//! spooled CTE it reads is published; `workers` threads — the caller
+//! plus `workers − 1` scoped helpers — pop ready tasks from one stack.
+//! No task waits on another, so the run has one wait point: an idle
+//! worker waiting for a ready task, for a remote edge to complete, or
+//! for the abort. Sends never wait on receivers and every peer of a
+//! distributed gang runs its tasks in dependency order, so distributed
+//! runs cannot deadlock either.
+//!
+//! A failing task (or a failed remote edge) records its error and trips
+//! the shared [`AbortSignal`]; the run's one abort waker wakes the idle
+//! workers, kernels check the signal at operator boundaries, and the run
+//! returns the root cause. Deadlines ride the same signal.
 
 use crate::columnar::{cexec, ColStream};
 use crate::engine::project_output_col;
@@ -26,31 +31,28 @@ use crate::net::{
     RESULT_MOTION,
 };
 use crate::parallel::interconnect::{
-    receive_stream, send_stream, BatchPool, MotionChannels, MotionCounters, Msg, MsgReceiver,
-    MsgSender,
+    read_slot, receive_stream, send_stream, BatchPool, Mailbox, MotionCounters, Msg, MsgSender,
 };
 use crate::parallel::metrics::{MotionMetrics, ParallelStats, SliceMetrics};
 use crate::parallel::slice::{slice_plan, Slice, SlicedPlan};
 use crate::parallel::spool::{SharedSpool, SpoolPayload};
 use crate::storage::{Database, Row};
-use crossbeam::channel::bounded;
 use orca_common::hash::FnvHashMap;
-use orca_common::{ColId, OrcaError, Result};
+use orca_common::{ColId, CteId, OrcaError, Result};
 use orca_expr::physical::PhysicalPlan;
-use orca_gpos::AbortSignal;
+use orca_gpos::{wait_until, AbortSignal};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for one [`ParallelEngine`].
 #[derive(Debug, Clone)]
 pub struct ParallelConfig {
-    /// Max tasks simultaneously in the compute phase (≥ 1).
+    /// Threads that run a gang's tasks (≥ 1): the caller plus
+    /// `workers − 1` helpers.
     pub workers: usize,
     /// Rows per interconnect batch.
     pub batch_rows: usize,
-    /// Bounded channel capacity in *batches* — the backpressure window.
-    pub channel_capacity: usize,
     /// Overall execution deadline, enforced via the abort signal.
     pub deadline: Option<Duration>,
     /// Socket-transport tunables, used only by distributed runs.
@@ -64,7 +66,6 @@ impl Default for ParallelConfig {
                 .map(|p| p.get())
                 .unwrap_or(1),
             batch_rows: 256,
-            channel_capacity: 4,
             deadline: None,
             net: NetConfig::default(),
         }
@@ -243,7 +244,7 @@ impl<'a> ParallelEngine<'a> {
     ) -> Result<ParallelResult> {
         abort.check()?;
         // Same preflight rule as `ExecEngine`: when the cluster cannot
-        // spill, reject provably-oversized plans before spawning a gang.
+        // spill, reject provably-oversized plans before starting a gang.
         if !self.db.cluster.can_spill {
             let budget = self
                 .mem
@@ -256,156 +257,178 @@ impl<'a> ParallelEngine<'a> {
         let n = self.db.cluster.num_segments;
         let workers = self.cfg.workers.max(1);
         let me = dist.map_or(0, |d| d.node.me);
+        let local = |seg: usize| dist.is_none_or(|d| d.topo.owner(seg) == me);
 
-        // Interconnect state, one channel matrix + counter block per motion.
+        // The tasks this peer hosts, and each slice×segment's task id.
+        let mut tasks: Vec<Task<'_>> = Vec::new();
+        let mut task_of: Vec<Vec<Option<usize>>> = vec![vec![None; n]; sliced.slices.len()];
+        for slice in &sliced.slices {
+            for seg in (0..n).filter(|&s| local(s)) {
+                task_of[slice.id][seg] = Some(tasks.len());
+                tasks.push(Task {
+                    slice,
+                    seg,
+                    txs: None,
+                    result_tx: None,
+                });
+            }
+        }
+        // The coordinator collects remote root-slice instances' streams
+        // over the reserved result motion, one mailbox per remote segment.
+        let remote_roots: Vec<usize> = match dist {
+            Some(_) if me == 0 => (0..n).filter(|&s| !local(s)).collect(),
+            _ => Vec::new(),
+        };
+        let gang = Arc::new(Gang::new(
+            Arc::clone(abort),
+            tasks
+                .iter()
+                .map(|t| t.slice.inputs.len() + t.slice.spool_inputs.len())
+                .collect(),
+            tasks.len() + remote_roots.len(),
+        ));
+        // The run's one abort waker.
+        let woken = Arc::clone(&gang);
+        let _woken = abort.on_abort(move || woken.wake_all());
+
+        // Interconnect state: a mailbox per motion × local receiver
+        // instance, plus one counter block per motion.
         let net_shared = Arc::new(NetShared::default());
         let net_counters: Vec<Arc<NetMotionCounters>> = sliced
             .motions
             .iter()
             .map(|_| Arc::new(NetMotionCounters::default()))
             .collect();
-        let mut channels: Vec<MotionChannels> = Vec::with_capacity(sliced.motions.len());
-        for (m, net_c) in net_counters.iter().enumerate() {
-            channels.push(match dist {
-                None => MotionChannels::new(n, self.cfg.channel_capacity),
-                Some(d) => build_dist_channels(
-                    d,
-                    m,
-                    n,
-                    self.cfg.channel_capacity,
-                    net_c,
-                    &net_shared,
-                    abort,
-                )?,
-            });
-        }
-        let counters: Vec<MotionCounters> = sliced
+        let result_counters = Arc::new(NetMotionCounters::default());
+        let inboxes: Vec<Vec<Option<Arc<Mailbox>>>> = sliced
             .motions
             .iter()
-            .map(|_| MotionCounters::default())
+            .map(|edge| {
+                task_of[edge.receiver]
+                    .iter()
+                    .map(|t| t.map(|t| Arc::new(Mailbox::new(n, gang.hook(Some(t))))))
+                    .collect()
+            })
             .collect();
-
-        // The reserved result motion: remote root-slice instances ship
-        // their parked streams home; the coordinator registers a
-        // receiving endpoint per remote-owned segment.
-        let result_counters = Arc::new(NetMotionCounters::default());
-        let mut result_txs: Vec<Option<MsgSender>> = (0..n).map(|_| None).collect();
-        let mut result_rxs: Vec<Option<MsgReceiver>> = (0..n).map(|_| None).collect();
+        let mut result_inboxes: Vec<Option<Arc<Mailbox>>> = vec![None; n];
+        for &s in &remote_roots {
+            result_inboxes[s] = Some(Arc::new(Mailbox::new(1, gang.hook(None))));
+        }
         if let Some(d) = dist {
-            #[allow(clippy::needless_range_loop)]
-            for s in 0..n {
-                let owner = d.topo.owner(s);
-                let key = EndpointKey {
-                    query: d.query_id,
-                    motion: RESULT_MOTION,
-                    sender: s as u32,
-                    receiver: 0,
-                };
-                if me == 0 && owner != 0 {
-                    result_rxs[s] = Some(MsgReceiver::Net(d.node.server.expect(
-                        key,
+            // Register every inbound remote edge before dialing out, so
+            // peers' handshakes can complete.
+            for (m, row) in inboxes.iter().enumerate() {
+                for (r, inbox) in row.iter().enumerate() {
+                    let Some(inbox) = inbox else { continue };
+                    for s in (0..n).filter(|&s| !local(s)) {
+                        d.node.server.expect(
+                            d.key(m as u32, s, r),
+                            Arc::clone(inbox),
+                            s,
+                            Arc::clone(&net_counters[m]),
+                            Arc::clone(&net_shared),
+                        );
+                    }
+                }
+            }
+            for (s, inbox) in result_inboxes.iter().enumerate() {
+                if let Some(inbox) = inbox {
+                    d.node.server.expect(
+                        d.key(RESULT_MOTION, s, 0),
+                        Arc::clone(inbox),
+                        0,
                         Arc::clone(&result_counters),
                         Arc::clone(&net_shared),
-                    )));
-                } else if me != 0 && owner == me {
-                    let tx = NetSender::connect(
-                        &d.topo.peers[0],
-                        key,
-                        self.cfg.channel_capacity,
-                        &d.net_cfg,
-                        abort,
-                        Arc::clone(&result_counters),
-                        Arc::clone(&net_shared),
-                    )?;
-                    tx.register(&d.node.server, d.query_id);
-                    result_txs[s] = Some(MsgSender::Net(tx));
+                    );
                 }
             }
         }
-        let gate = ComputeGate::new(workers);
-        let pool = Arc::new(BatchPool::new());
-        // Spooled CTE bytes count against the process-wide budget (if the
-        // grant carries one) for the duration of the run.
-        let spool = Arc::new(match self.mem.as_ref().and_then(|m| m.budget()) {
-            Some(b) => SharedSpool::new().with_budget(b),
-            None => SharedSpool::new(),
-        });
-        // The run's abort waker: no channel, socket receive or spool wait
-        // outlives an abort (the compute gate needs none).
-        let edges: Vec<_> = channels
-            .iter()
-            .flat_map(|c| c.rx.iter().flatten().flatten())
-            .chain(result_rxs.iter().flatten())
-            .map(MsgReceiver::waker)
-            .collect();
-        let woken_spool = Arc::clone(&spool);
-        let _woken = abort.on_abort(move || {
-            edges.into_iter().for_each(|wake| wake());
-            woken_spool.wake();
-        });
-        let first_err: Mutex<Option<OrcaError>> = Mutex::new(None);
-        let merged_stats: Mutex<ExecStats> = Mutex::new(ExecStats::default());
-        let root_out: Mutex<Vec<Option<ColStream>>> = Mutex::new((0..n).map(|_| None).collect());
-        // Per-slice timing maxima over gang instances, in nanoseconds.
-        let wall_ns: Vec<AtomicU64> = sliced.slices.iter().map(|_| AtomicU64::new(0)).collect();
-        let compute_ns: Vec<AtomicU64> = sliced.slices.iter().map(|_| AtomicU64::new(0)).collect();
-
-        std::thread::scope(|scope| {
-            for slice in &sliced.slices {
-                #[allow(clippy::needless_range_loop)]
-                for seg in 0..n {
-                    if dist.is_some_and(|d| d.topo.owner(seg) != me) {
-                        continue;
-                    }
-                    let txs: Option<Vec<MsgSender>> =
-                        slice.output.map(|m| channels[m].tx[seg].take().unwrap());
-                    let rxs: Vec<(usize, Vec<MsgReceiver>)> = slice
-                        .inputs
-                        .iter()
-                        .map(|&m| (m, channels[m].rx[seg].take().unwrap()))
-                        .collect();
-                    let result_tx = if slice.output.is_none() && slice.spool_output.is_none() {
-                        result_txs[seg].take()
-                    } else {
-                        None
-                    };
-                    let task = TaskCtx {
-                        db: self.db,
-                        sliced: &sliced,
-                        slice,
-                        seg,
-                        txs,
-                        rxs,
-                        result_tx,
-                        batch_rows: self.cfg.batch_rows,
+        // Each sender instance's edges: the local receivers' mailbox
+        // slots, or a connection to the peer hosting the receiver.
+        for task in &mut tasks {
+            let seg = task.seg;
+            if let Some(m) = task.slice.output {
+                let txs = (0..n)
+                    .map(|r| match (&inboxes[m][r], dist) {
+                        (Some(inbox), _) => Ok(MsgSender::Mailbox(Arc::clone(inbox), seg)),
+                        (None, Some(d)) => d.connect(
+                            d.topo.owner(r),
+                            d.key(m as u32, seg, r),
+                            abort,
+                            &net_counters[m],
+                            &net_shared,
+                        ),
+                        (None, None) => unreachable!("in-process receivers all have mailboxes"),
+                    })
+                    .collect::<Result<_>>()?;
+                task.txs = Some(txs);
+            } else if let (Some(d), None) = (dist, task.slice.spool_output) {
+                if me != 0 {
+                    // A root instance on a worker peer ships its stream
+                    // home over the reserved result motion.
+                    task.result_tx = Some(d.connect(
+                        0,
+                        d.key(RESULT_MOTION, seg, 0),
                         abort,
-                        gate: &gate,
-                        pool: &pool,
-                        spool: &spool,
-                        frag: &self.fragments,
-                        mem: &self.mem,
-                        counters: &counters,
-                        merged_stats: &merged_stats,
-                        root_out: &root_out,
-                        wall_ns: &wall_ns,
-                        compute_ns: &compute_ns,
-                    };
-                    let first_err = &first_err;
-                    scope.spawn(move || {
-                        // Record a failure while the task still holds its
-                        // channel ends: a peer that sees them drop then
-                        // finds the root cause already recorded.
-                        if let Err(e) = run_task(&task) {
-                            abort_once(first_err, task.abort, e);
-                        }
-                    });
+                        &result_counters,
+                        &net_shared,
+                    )?);
                 }
             }
+        }
+
+        // Which tasks read each spooled `(cte, segment)`.
+        let mut spool_readers: FnvHashMap<(CteId, usize), Vec<usize>> = FnvHashMap::default();
+        for (t, task) in tasks.iter().enumerate() {
+            for &id in &task.slice.spool_inputs {
+                spool_readers.entry((id, task.seg)).or_default().push(t);
+            }
+        }
+        let helpers = workers.min(tasks.len()).saturating_sub(1);
+        let run = Run {
+            db: self.db,
+            sliced: &sliced,
+            tasks,
+            inboxes,
+            spool_readers,
+            gang: &gang,
+            batch_rows: self.cfg.batch_rows,
+            abort,
+            pool: Arc::new(BatchPool::new()),
+            // Spooled CTE bytes count against the process-wide budget (if
+            // the grant carries one) for the duration of the run.
+            spool: match self.mem.as_ref().and_then(|m| m.budget()) {
+                Some(b) => SharedSpool::new().with_budget(b),
+                None => SharedSpool::new(),
+            },
+            frag: &self.fragments,
+            mem: &self.mem,
+            counters: sliced
+                .motions
+                .iter()
+                .map(|_| MotionCounters::default())
+                .collect(),
+            merged_stats: Mutex::new(ExecStats::default()),
+            root_out: Mutex::new(vec![None; n]),
+            wall_ns: sliced.slices.iter().map(|_| AtomicU64::new(0)).collect(),
+            compute_ns: sliced.slices.iter().map(|_| AtomicU64::new(0)).collect(),
+        };
+        std::thread::scope(|scope| {
+            for _ in 0..helpers {
+                scope.spawn(|| work(&run));
+            }
+            work(&run);
         });
 
-        // `scope` joined every task; surface the root cause (a task error,
-        // or an external abort/deadline that fired after the last task).
-        if let Some(e) = first_err.into_inner().unwrap() {
+        // Every worker returned; surface the root cause (a task or edge
+        // error, or an external abort/deadline that fired after the last
+        // task).
+        if let Some(e) = gang
+            .first_err
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+        {
             return Err(e);
         }
         abort.check()?;
@@ -417,19 +440,15 @@ impl<'a> ParallelEngine<'a> {
         // engine's bit for bit.
         let mut sim_seconds = 0.0;
         let rows = if me == 0 {
-            let streams = root_out.into_inner().unwrap();
+            let streams = run.root_out.into_inner().expect("root_out lock poisoned");
             let mut combined = ColStream::empty(Vec::new(), n);
             for (s, stream) in streams.into_iter().enumerate() {
-                let stream = match stream {
-                    Some(cs) => cs,
-                    None => match &result_rxs[s] {
-                        Some(rx) => read_result(rx, abort)?,
-                        None => {
-                            return Err(OrcaError::Execution(
-                                "root slice produced no stream".into(),
-                            ))
-                        }
-                    },
+                let stream = match (stream, &result_inboxes[s]) {
+                    (Some(cs), _) => cs,
+                    (None, Some(inbox)) => read_result(inbox)?,
+                    (None, None) => {
+                        return Err(OrcaError::Execution("root slice produced no stream".into()))
+                    }
                 };
                 combined.layout = stream.layout.clone();
                 combined.replicated = stream.replicated;
@@ -442,7 +461,8 @@ impl<'a> ParallelEngine<'a> {
             Vec::new()
         };
 
-        let mut stats = merged_stats.into_inner().unwrap();
+        let counters = run.counters;
+        let mut stats = run.merged_stats.into_inner().expect("stats lock poisoned");
         stats.bytes_moved += counters
             .iter()
             .map(|c| c.bytes.load(Ordering::Relaxed))
@@ -454,16 +474,16 @@ impl<'a> ParallelEngine<'a> {
             wall_seconds: 0.0, // stamped by run_with_abort
             sim_seconds,
             net: net_shared.snapshot(),
-            batches_reused: pool.reused(),
+            batches_reused: run.pool.reused(),
             cte_spools: sliced.spool_count(),
-            spool_rows: spool.rows_published(),
+            spool_rows: run.spool.rows_published(),
             slices: sliced
                 .slices
                 .iter()
                 .map(|s| SliceMetrics {
                     slice: s.id,
-                    wall_seconds: wall_ns[s.id].load(Ordering::Relaxed) as f64 / 1e9,
-                    compute_seconds: compute_ns[s.id].load(Ordering::Relaxed) as f64 / 1e9,
+                    wall_seconds: run.wall_ns[s.id].load(Ordering::Relaxed) as f64 / 1e9,
+                    compute_seconds: run.compute_ns[s.id].load(Ordering::Relaxed) as f64 / 1e9,
                 })
                 .collect(),
             motions: sliced
@@ -490,80 +510,110 @@ impl<'a> ParallelEngine<'a> {
     }
 }
 
-/// Everything one slice×segment task needs, bundled so the spawn closure
-/// stays a single move.
-struct TaskCtx<'env> {
-    db: &'env Database,
-    sliced: &'env SlicedPlan,
-    slice: &'env Slice,
+/// One slice×segment instance hosted by this peer.
+struct Task<'a> {
+    slice: &'a Slice,
     seg: usize,
+    /// Edges into the slice's output motion, one per receiver instance.
     txs: Option<Vec<MsgSender>>,
-    rxs: Vec<(usize, Vec<MsgReceiver>)>,
     /// Root-slice instances on worker peers ship their parked stream to
     /// the coordinator through this instead of `root_out`.
     result_tx: Option<MsgSender>,
-    batch_rows: usize,
-    abort: &'env Arc<AbortSignal>,
-    gate: &'env ComputeGate,
-    pool: &'env Arc<BatchPool>,
-    spool: &'env SharedSpool,
-    frag: &'env Option<Arc<crate::sharing::FragmentCache>>,
-    mem: &'env Option<Arc<crate::memory::MemoryTracker>>,
-    counters: &'env [MotionCounters],
-    merged_stats: &'env Mutex<ExecStats>,
-    root_out: &'env Mutex<Vec<Option<ColStream>>>,
-    wall_ns: &'env [AtomicU64],
-    compute_ns: &'env [AtomicU64],
 }
 
-fn run_task(task: &TaskCtx<'_>) -> Result<()> {
+/// Everything the workers of one run share.
+struct Run<'env> {
+    db: &'env Database,
+    sliced: &'env SlicedPlan,
+    tasks: Vec<Task<'env>>,
+    /// `inboxes[motion][receiver]`; `None` where another peer hosts the
+    /// receiving instance.
+    inboxes: Vec<Vec<Option<Arc<Mailbox>>>>,
+    spool_readers: FnvHashMap<(CteId, usize), Vec<usize>>,
+    gang: &'env Gang,
+    batch_rows: usize,
+    abort: &'env Arc<AbortSignal>,
+    pool: Arc<BatchPool>,
+    spool: SharedSpool,
+    frag: &'env Option<Arc<crate::sharing::FragmentCache>>,
+    mem: &'env Option<Arc<crate::memory::MemoryTracker>>,
+    counters: Vec<MotionCounters>,
+    merged_stats: Mutex<ExecStats>,
+    root_out: Mutex<Vec<Option<ColStream>>>,
+    /// Per-slice timing maxima over gang instances, in nanoseconds.
+    wall_ns: Vec<AtomicU64>,
+    compute_ns: Vec<AtomicU64>,
+}
+
+/// One worker: run ready tasks until the run completes or aborts.
+fn work(run: &Run<'_>) {
+    while let Some(t) = run.gang.next() {
+        // A panicking task must not leave the other workers waiting for
+        // it; `scope` re-raises the panic once they return.
+        let _unwind = FailOnUnwind(run.gang);
+        match run_task(run, t) {
+            Ok(()) => run.gang.retire(),
+            Err(e) => run.gang.fail(e),
+        }
+    }
+}
+
+struct FailOnUnwind<'a>(&'a Gang);
+
+impl Drop for FailOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0
+                .fail(OrcaError::Internal("a gang task panicked".into()));
+        }
+    }
+}
+
+fn run_task(run: &Run<'_>, t: usize) -> Result<()> {
+    let task = &run.tasks[t];
+    let (slice, seg) = (task.slice, task.seg);
     let t_start = Instant::now();
-    // Phase 1 — receive every input motion and every spooled CTE (no
-    // compute slot held; a blocked receive must not starve the senders
-    // or producers feeding it).
+    // Phase 1 — read every input motion and every spooled CTE; the task
+    // is ready only once all of them are complete.
     let mut delivered: FnvHashMap<usize, ColStream> = FnvHashMap::default();
-    for (m, rxs) in &task.rxs {
-        let kind = &task.sliced.motions[*m].kind;
+    for &m in &slice.inputs {
+        let inbox = run.inboxes[m][seg]
+            .as_ref()
+            .expect("a hosted receiver has a mailbox");
+        let kind = &run.sliced.motions[m].kind;
         delivered.insert(
-            *m,
-            receive_stream(
-                kind,
-                rxs,
-                task.seg,
-                &task.db.cluster,
-                task.abort,
-                task.pool,
-                task.batch_rows,
-            )?,
+            m,
+            receive_stream(kind, inbox, seg, &run.db.cluster, &run.pool, run.batch_rows)?,
         );
     }
-    let mut spooled: Vec<(orca_common::CteId, Arc<SpoolPayload>)> = Vec::new();
-    for &id in &task.slice.spool_inputs {
-        spooled.push((id, task.spool.wait(id, task.seg, task.abort)?));
+    let mut spooled: Vec<(CteId, Arc<SpoolPayload>)> = Vec::new();
+    for &id in &slice.spool_inputs {
+        let payload = run.spool.get(id, seg).ok_or_else(|| {
+            OrcaError::Internal(format!("spooled {id} read before it was published"))
+        })?;
+        spooled.push((id, payload));
     }
-    // Phase 2 — the kernel, under the compute gate. Spooled CTEs are
-    // seeded into the kernel's stash so its CteScan arm finds exactly
-    // the stream the serial engine would have materialized.
-    task.abort.check()?;
-    let slot = task.gate.acquire();
+    // Phase 2 — the kernel. Spooled CTEs are seeded into the kernel's
+    // stash so its CteScan arm finds exactly the stream the serial engine
+    // would have materialized.
+    run.abort.check()?;
     let t_compute = Instant::now();
     let (out, stats) = {
-        let mut ctx =
-            ExecCtx::for_segment_columnar(task.db, task.seg, delivered, task.abort.clone());
-        if let Some(m) = task.mem {
+        let mut ctx = ExecCtx::for_segment_columnar(run.db, seg, delivered, run.abort.clone());
+        if let Some(m) = run.mem {
             ctx.mem = Arc::clone(m);
         }
-        ctx.frag = task.frag.clone();
+        ctx.frag = run.frag.clone();
         // Scans draw their batch shells from the run-wide pool, so
         // shells recycled by the interconnect feed the kernel too.
-        ctx.pool = Some(Arc::clone(task.pool));
+        ctx.pool = Some(Arc::clone(&run.pool));
         for (id, p) in &spooled {
             ctx.cte_col.insert(*id, p.to_colstream());
         }
         // A spool slice's output is its materialized CTE, taken from the
         // kernel's stash (the slice's nominal output stream is discarded,
         // exactly as `Sequence` discards its producer child's output).
-        let out = cexec(&task.slice.root, &mut ctx).and_then(|cs| match task.slice.spool_output {
+        let out = cexec(&slice.root, &mut ctx).and_then(|cs| match slice.spool_output {
             None => Ok(cs),
             Some(id) => ctx.cte_col.remove(&id).ok_or_else(|| {
                 OrcaError::Execution(format!("spool slice did not materialize {id}"))
@@ -572,39 +622,150 @@ fn run_task(task: &TaskCtx<'_>) -> Result<()> {
         (out, ctx.stats)
     };
     let compute = t_compute.elapsed().as_nanos() as u64;
-    drop(slot);
-    merge_stats(&mut task.merged_stats.lock().unwrap(), &stats);
+    merge_stats(
+        &mut run.merged_stats.lock().expect("stats lock poisoned"),
+        &stats,
+    );
     // Phase 3 — publish (spool slices), ship (sender slices), or park
     // (the root slice).
     let cs = out?;
-    match (task.slice.spool_output, &task.txs, task.slice.output) {
-        (Some(id), ..) => task
-            .spool
-            .publish(id, task.seg, SpoolPayload::from_colstream(cs)),
+    match (slice.spool_output, &task.txs, slice.output) {
+        (Some(id), ..) => {
+            run.spool.publish(id, seg, SpoolPayload::from_colstream(cs));
+            for &reader in run.spool_readers.get(&(id, seg)).into_iter().flatten() {
+                run.gang.deliver(reader);
+            }
+        }
         (None, Some(txs), Some(m)) => {
-            let kind = &task.sliced.motions[m].kind;
+            let kind = &run.sliced.motions[m].kind;
             send_stream(
                 kind,
                 cs,
-                task.seg,
+                seg,
                 txs,
-                task.batch_rows,
-                task.abort,
-                &task.counters[m],
-                task.pool,
-                task.sliced.motions[m].key_pos.as_deref(),
+                run.batch_rows,
+                run.abort,
+                &run.counters[m],
+                &run.pool,
+                run.sliced.motions[m].key_pos.as_deref(),
             )?;
         }
         _ => match &task.result_tx {
-            // A root instance on a worker peer: ship the finished
-            // stream home over the reserved result motion.
-            Some(tx) => ship_result(tx, cs, task.abort)?,
-            None => task.root_out.lock().unwrap()[task.seg] = Some(cs),
+            Some(tx) => ship_result(tx, cs, run.abort)?,
+            None => run.root_out.lock().expect("root_out lock poisoned")[seg] = Some(cs),
         },
     }
-    task.compute_ns[task.slice.id].fetch_max(compute, Ordering::Relaxed);
-    task.wall_ns[task.slice.id].fetch_max(t_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    run.compute_ns[slice.id].fetch_max(compute, Ordering::Relaxed);
+    run.wall_ns[slice.id].fetch_max(t_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     Ok(())
+}
+
+/// The run's ready queue and its one wait point.
+struct Gang {
+    state: Mutex<GangState>,
+    wake: Condvar,
+    abort: Arc<AbortSignal>,
+    first_err: Mutex<Option<OrcaError>>,
+}
+
+struct GangState {
+    /// Per task: input mailboxes and spooled CTEs not yet complete.
+    pending: Vec<usize>,
+    /// Ready tasks, run last-in first-out: a receiver made ready by the
+    /// task that just finished runs next, so its mailboxes are drained
+    /// before more senders fill others.
+    ready: Vec<usize>,
+    /// Local tasks not yet finished plus remote result streams not yet
+    /// complete; the run is over at zero.
+    outstanding: usize,
+}
+
+impl Gang {
+    fn new(abort: Arc<AbortSignal>, pending: Vec<usize>, outstanding: usize) -> Gang {
+        let ready = (0..pending.len()).filter(|&t| pending[t] == 0).collect();
+        Gang {
+            state: Mutex::new(GangState {
+                pending,
+                ready,
+                outstanding,
+            }),
+            wake: Condvar::new(),
+            abort,
+            first_err: Mutex::new(None),
+        }
+    }
+
+    /// A mailbox's completion hook: a complete input of `task`, or with
+    /// `None` a complete remote result stream; an edge failure fails the
+    /// run.
+    fn hook(self: &Arc<Gang>, task: Option<usize>) -> impl Fn(Result<()>) + Send + Sync {
+        let gang = Arc::clone(self);
+        move |done| match (done, task) {
+            (Ok(()), Some(t)) => gang.deliver(t),
+            (Ok(()), None) => gang.retire(),
+            (Err(e), _) => gang.fail(e),
+        }
+    }
+
+    fn state(&self) -> MutexGuard<'_, GangState> {
+        // Nothing panics while holding this lock.
+        self.state.lock().expect("gang state lock poisoned")
+    }
+
+    /// One input of `task` is complete; queue the task if it was the last.
+    fn deliver(&self, task: usize) {
+        let mut st = self.state();
+        st.pending[task] -= 1;
+        if st.pending[task] == 0 {
+            st.ready.push(task);
+            self.wake.notify_one();
+        }
+    }
+
+    /// A local task finished, or a remote result stream completed.
+    fn retire(&self) {
+        let mut st = self.state();
+        st.outstanding -= 1;
+        if st.outstanding == 0 {
+            self.wake.notify_all();
+        }
+    }
+
+    /// Record `err` and trip the abort, which wakes every idle worker.
+    fn fail(&self, err: OrcaError) {
+        abort_once(&self.first_err, &self.abort, err);
+    }
+
+    /// The wait point: the next ready task, or `None` once the run is
+    /// complete or aborted. A wait on a remote edge is bounded by the
+    /// deadline, since nothing local may notice its expiry meanwhile.
+    fn next(&self) -> Option<usize> {
+        let mut st = self.state();
+        loop {
+            if self.abort.is_tripped() || st.outstanding == 0 {
+                return None;
+            }
+            if let Some(t) = st.ready.pop() {
+                return Some(t);
+            }
+            st = match wait_until(&self.wake, st, self.abort.deadline()) {
+                Ok(st) => st,
+                Err(st) => {
+                    // Past the deadline: trip the signal, whose waker
+                    // takes this lock.
+                    drop(st);
+                    self.abort.is_aborted();
+                    self.state()
+                }
+            };
+        }
+    }
+
+    /// The run's abort waker.
+    fn wake_all(&self) {
+        drop(self.state.lock());
+        self.wake.notify_all();
+    }
 }
 
 /// How a distributed run plugs into the cluster: this peer's server and
@@ -617,77 +778,36 @@ struct DistRun<'a> {
     net_cfg: NetConfig,
 }
 
-/// Build one motion's channel matrix for a distributed run: in-process
-/// bounded channels for peer-local edges, TCP endpoints for edges whose
-/// two instances live on different peers. Rows belonging to instances
-/// hosted elsewhere stay `None` (their tasks are not spawned here).
-#[allow(clippy::needless_range_loop)]
-fn build_dist_channels(
-    d: &DistRun<'_>,
-    motion: usize,
-    n: usize,
-    capacity: usize,
-    counters: &Arc<NetMotionCounters>,
-    shared: &Arc<NetShared>,
-    abort: &AbortSignal,
-) -> Result<MotionChannels> {
-    let me = d.node.me;
-    let key = |s: usize, r: usize| EndpointKey {
-        query: d.query_id,
-        motion: motion as u32,
-        sender: s as u32,
-        receiver: r as u32,
-    };
-    let mut tx: Vec<Option<Vec<MsgSender>>> = (0..n).map(|_| None).collect();
-    let mut rx: Vec<Option<Vec<MsgReceiver>>> = (0..n).map(|_| None).collect();
-    // Local↔local edges share one bounded channel; stage the sender
-    // halves so tx rows can be assembled in receiver order afterwards.
-    let mut staged: Vec<Vec<Option<MsgSender>>> =
-        (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-    // Receiver rows first: inbound remote edges must be registered with
-    // the local server before peers' handshakes can complete.
-    for r in (0..n).filter(|&r| d.topo.owner(r) == me) {
-        let mut row = Vec::with_capacity(n);
-        for s in 0..n {
-            if d.topo.owner(s) == me {
-                let (a, b) = bounded(capacity);
-                staged[s][r] = Some(MsgSender::Local(a));
-                row.push(MsgReceiver::Local(b));
-            } else {
-                row.push(MsgReceiver::Net(d.node.server.expect(
-                    key(s, r),
-                    Arc::clone(counters),
-                    Arc::clone(shared),
-                )));
-            }
+impl DistRun<'_> {
+    fn key(&self, motion: u32, sender: usize, receiver: usize) -> EndpointKey {
+        EndpointKey {
+            query: self.query_id,
+            motion,
+            sender: sender as u32,
+            receiver: receiver as u32,
         }
-        rx[r] = Some(row);
     }
-    // Sender rows: local halves staged above; remote edges dial out.
-    for s in (0..n).filter(|&s| d.topo.owner(s) == me) {
-        let mut row = Vec::with_capacity(n);
-        for r in 0..n {
-            match staged[s][r].take() {
-                Some(local) => row.push(local),
-                None => {
-                    let peer = &d.topo.peers[d.topo.owner(r)];
-                    let sender = NetSender::connect(
-                        peer,
-                        key(s, r),
-                        capacity,
-                        &d.net_cfg,
-                        abort,
-                        Arc::clone(counters),
-                        Arc::clone(shared),
-                    )?;
-                    sender.register(&d.node.server, d.query_id);
-                    row.push(MsgSender::Net(sender));
-                }
-            }
-        }
-        tx[s] = Some(row);
+
+    /// Dial the edge `key` on `peer`, registered for abort broadcast.
+    fn connect(
+        &self,
+        peer: usize,
+        key: EndpointKey,
+        abort: &AbortSignal,
+        counters: &Arc<NetMotionCounters>,
+        shared: &Arc<NetShared>,
+    ) -> Result<MsgSender> {
+        let tx = NetSender::connect(
+            &self.topo.peers[peer],
+            key,
+            &self.net_cfg,
+            abort,
+            Arc::clone(counters),
+            Arc::clone(shared),
+        )?;
+        tx.register(&self.node.server, self.query_id);
+        Ok(MsgSender::Net(tx))
     }
-    Ok(MotionChannels { tx, rx })
 }
 
 /// Ship a remote root-slice instance's parked stream to the coordinator
@@ -712,33 +832,15 @@ fn ship_result(tx: &MsgSender, cs: ColStream, abort: &AbortSignal) -> Result<()>
 }
 
 /// Coordinator-side counterpart of [`ship_result`]: rebuild the remote
-/// instance's single-slot stream, clock included.
-fn read_result(rx: &MsgReceiver, abort: &AbortSignal) -> Result<ColStream> {
-    let (layout, avail, replicated) = match rx.recv(abort)? {
-        Msg::Open {
-            layout,
-            avail,
-            replicated,
-            ..
-        } => (layout, avail, replicated),
-        _ => {
-            return Err(OrcaError::Net(
-                "result stream did not start with Open".into(),
-            ))
-        }
-    };
-    let mut cs = ColStream::empty(layout, 1);
-    cs.avail[0] = avail;
-    cs.replicated = replicated;
-    loop {
-        match rx.recv(abort)? {
-            Msg::Batch(b) => cs.per_seg[0].push(b),
-            Msg::Eos => break,
-            Msg::Open { .. } => {
-                return Err(OrcaError::Net("duplicate Open on result stream".into()))
-            }
-        }
-    }
+/// instance's single-slot stream, clock included, from its complete
+/// mailbox.
+fn read_result(inbox: &Mailbox) -> Result<ColStream> {
+    let slot = inbox.take().pop().unwrap_or_default();
+    let d = read_slot(slot)?;
+    let mut cs = ColStream::empty(d.layout, 1);
+    cs.avail[0] = d.avail;
+    cs.replicated = d.replicated;
+    cs.per_seg[0] = d.batches;
     Ok(cs)
 }
 
@@ -769,7 +871,9 @@ fn merge_stats(into: &mut ExecStats, from: &ExecStats) {
 /// (aborts, which is how a disconnect is reported too) and are dropped.
 fn abort_once(first_err: &Mutex<Option<OrcaError>>, abort: &AbortSignal, err: OrcaError) {
     {
-        let mut slot = first_err.lock().unwrap();
+        // Called while unwinding too, so it must not panic; every write
+        // leaves the slot valid.
+        let mut slot = first_err.lock().unwrap_or_else(PoisonError::into_inner);
         // An abort-shaped error is a symptom, not a cause: never let it
         // shadow a real error, and prefer a real error over it even if
         // the symptom arrived first.
@@ -781,42 +885,6 @@ fn abort_once(first_err: &Mutex<Option<OrcaError>>, abort: &AbortSignal, err: Or
         }
     }
     abort.abort_with(err);
-}
-
-/// Bounds the number of tasks in the compute phase. Plain
-/// mutex+condvar (the hot path is per-task, not per-row). The wait needs
-/// no abort waker: every holder releases, even on unwind ([`GateSlot`]).
-struct ComputeGate {
-    slots: Mutex<usize>,
-    ready: Condvar,
-}
-
-/// One compute slot, released on drop.
-struct GateSlot<'a>(&'a ComputeGate);
-
-impl ComputeGate {
-    fn new(workers: usize) -> ComputeGate {
-        ComputeGate {
-            slots: Mutex::new(workers.max(1)),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn acquire(&self) -> GateSlot<'_> {
-        let mut slots = self.slots.lock().unwrap();
-        while *slots == 0 {
-            slots = self.ready.wait(slots).unwrap();
-        }
-        *slots -= 1;
-        GateSlot(self)
-    }
-}
-
-impl Drop for GateSlot<'_> {
-    fn drop(&mut self) {
-        *self.0.slots.lock().unwrap_or_else(|e| e.into_inner()) += 1;
-        self.0.ready.notify_one();
-    }
 }
 
 #[cfg(test)]
@@ -899,7 +967,6 @@ mod tests {
             let cfg = ParallelConfig {
                 workers,
                 batch_rows: 7, // deliberately odd, exercises batching
-                channel_capacity: 2,
                 deadline: None,
                 net: NetConfig::default(),
             };
@@ -990,7 +1057,6 @@ mod tests {
                 let cfg = ParallelConfig {
                     workers,
                     batch_rows: 7,
-                    channel_capacity: 2,
                     ..ParallelConfig::default()
                 };
                 let inproc = ParallelEngine::with_config(&db, cfg.clone())
@@ -1062,7 +1128,6 @@ mod tests {
             let cfg = ParallelConfig {
                 workers: 2,
                 batch_rows: 7,
-                channel_capacity: 2,
                 ..ParallelConfig::default()
             };
             let inproc = ParallelEngine::with_config(&db, cfg.clone())
@@ -1103,7 +1168,6 @@ mod tests {
         let cfg = ParallelConfig {
             workers: 1,
             batch_rows: 1,
-            channel_capacity: 1,
             // Already expired when the gang starts: the run must still
             // tear down promptly rather than hang on a socket.
             deadline: Some(Duration::ZERO),
@@ -1327,7 +1391,6 @@ mod tests {
         let cfg = ParallelConfig {
             workers: 2,
             batch_rows: 1,
-            channel_capacity: 1,
             deadline: None,
             net: NetConfig::default(),
         };
@@ -1378,7 +1441,6 @@ mod tests {
                 let cfg = ParallelConfig {
                     workers: 1 + i % 4,
                     batch_rows: 1,
-                    channel_capacity: 1,
                     deadline: None,
                     net: NetConfig::default(),
                 };
@@ -1440,7 +1502,6 @@ mod tests {
             let cfg = ParallelConfig {
                 workers: 1 + i % 4,
                 batch_rows: 1,
-                channel_capacity: 1,
                 deadline: None,
                 net: NetConfig::default(),
             };
@@ -1478,7 +1539,6 @@ mod tests {
         let cfg = ParallelConfig {
             workers: 1,
             batch_rows: 1,
-            channel_capacity: 1,
             deadline: Some(Duration::from_nanos(1)),
             net: NetConfig::default(),
         };

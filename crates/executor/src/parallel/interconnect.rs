@@ -1,14 +1,15 @@
-//! The interconnect: batched, bounded channels between slice gangs.
+//! The interconnect: routed columnar batches between slice gangs.
 //!
-//! For each motion edge the driver builds an n×n matrix of bounded
-//! channels — one per (sender instance, receiver instance) pair. A
-//! channel carries a short protocol: `Open(layout)`, zero or more
-//! `Batch` messages of up to `batch_rows` rows, then `Eos`. Bounded
-//! capacity is the backpressure mechanism: a fast sender blocks once
-//! `capacity` batches are in flight. Blocked sends and receives wait
-//! untimed; the run registers [`MsgReceiver::waker`] for every edge with
-//! its [`AbortSignal`], so an abort closes each channel and every
-//! blocked peer returns the recorded error at once.
+//! Each receiving instance of a motion owns a [`Mailbox`] with one slot
+//! per sender instance. A slot carries a short protocol: `Open(layout)`,
+//! zero or more `Batch` messages of up to `batch_rows` rows, then `Eos`.
+//! A sender task routes its finished stream straight into the receivers'
+//! mailboxes, or over a TCP connection ([`crate::net`]) whose reader
+//! thread fills the same mailbox type on the receiving peer. Slots are
+//! unbounded, so a send never waits on a receiver; and the driver runs a
+//! receiving task only once every slot of its mailboxes holds its `Eos`,
+//! so a receive never waits either. A mailbox reports its completion —
+//! or a remote edge's failure — through the hook it was built with.
 //!
 //! Batches travel **columnar** ([`ColumnBatch`]): a Gather forwards the
 //! kernel's output columns without touching individual rows, and a
@@ -17,31 +18,29 @@
 //! so steady-state traffic allocates no new buffers (`batches_reused`
 //! in the parallel stats counts the recycled ones).
 //!
-//! Determinism: receivers drain sender channels **in sender-segment
-//! order** (GatherMerge instead merges all senders, breaking ties toward
-//! the lowest sender), which reproduces the serial engine's stream order
+//! Determinism: receivers read mailbox slots **in sender-segment order**
+//! (GatherMerge instead merges all slots, breaking ties toward the
+//! lowest sender), which reproduces the serial engine's stream order
 //! byte for byte. A sender whose stream is replicated ships only its
 //! segment-0 copy — the parallel analogue of the serial `one_copy()`.
 
+use crate::columnar::exec::merge_sorted;
 use crate::columnar::{ColStream, ColumnBatch};
-use crate::merge::{kway_merge, RowSource};
-use crate::net::{NetReceiver, NetSender};
-use crate::storage::Row;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crate::net::NetSender;
 use orca_common::hash::FnvHasher;
 use orca_common::{ColId, OrcaError, Result, SegmentConfig};
 use orca_expr::physical::MotionKind;
 use orca_gpos::AbortSignal;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Max batch shells kept on the free list. Enough to cover every
 /// in-flight batch of a busy gang; beyond that, dropping is cheaper
 /// than hoarding.
 const POOL_CAP: usize = 64;
 
-/// One message on an interconnect channel.
+/// One message on an interconnect edge.
 #[derive(Debug)]
 pub enum Msg {
     /// Stream prologue, sent by every sender instance: the row layout
@@ -50,7 +49,7 @@ pub enum Msg {
     /// clock and byte accounting, from which the receiver replays the
     /// serial engine's motion-cost formulas. The `f64`s cross process
     /// boundaries bit-exact, so `sim_seconds` is identical whether an
-    /// edge is a channel or a socket.
+    /// edge is in-process or a socket.
     Open {
         layout: Vec<ColId>,
         /// The sender instance's stream clock (`ColStream::avail[0]`).
@@ -66,65 +65,71 @@ pub enum Msg {
     Eos,
 }
 
-/// The sending half of one directed motion edge: an in-process bounded
-/// channel, or a TCP connection when the receiving instance lives in
-/// another process. Both bound the number of in-flight batches at the
-/// matrix capacity.
+/// Called once when every slot of a mailbox holds its `Eos`, or with the
+/// error of a remote edge that failed first.
+type OnDone = Box<dyn Fn(Result<()>) + Send + Sync>;
+
+/// One receiving instance's inbox for one motion: a slot per sender
+/// instance, filled in any order and read in sender order once complete.
+pub struct Mailbox {
+    slots: Vec<Mutex<Vec<Msg>>>,
+    /// Slots still waiting for their `Eos`.
+    open: AtomicUsize,
+    on_done: OnDone,
+}
+
+impl Mailbox {
+    pub fn new(senders: usize, on_done: impl Fn(Result<()>) + Send + Sync + 'static) -> Mailbox {
+        Mailbox {
+            slots: (0..senders).map(|_| Mutex::new(Vec::new())).collect(),
+            open: AtomicUsize::new(senders),
+            on_done: Box::new(on_done),
+        }
+    }
+
+    /// Deliver one message from sender instance `sender`. The `Eos` that
+    /// closes the last open slot reports the mailbox complete.
+    pub fn push(&self, sender: usize, msg: Msg) {
+        let eos = matches!(msg, Msg::Eos);
+        self.slots[sender]
+            .lock()
+            .expect("mailbox slot lock poisoned")
+            .push(msg);
+        if eos && self.open.fetch_sub(1, Ordering::AcqRel) == 1 {
+            (self.on_done)(Ok(()));
+        }
+    }
+
+    /// A remote edge into this mailbox failed before its `Eos`.
+    pub fn fail(&self, err: OrcaError) {
+        (self.on_done)(Err(err));
+    }
+
+    /// Move every slot's messages out, in sender order.
+    pub(crate) fn take(&self) -> Vec<Vec<Msg>> {
+        self.slots
+            .iter()
+            .map(|s| std::mem::take(&mut *s.lock().expect("mailbox slot lock poisoned")))
+            .collect()
+    }
+}
+
+/// The sending half of one directed motion edge: the receiving
+/// instance's mailbox slot when it lives in this process, or a TCP
+/// connection when it lives in another.
 pub enum MsgSender {
-    Local(Sender<Msg>),
+    Mailbox(Arc<Mailbox>, usize),
     Net(NetSender),
 }
 
 impl MsgSender {
     pub fn send(&self, msg: Msg, abort: &AbortSignal) -> Result<()> {
         match self {
-            MsgSender::Local(tx) => {
-                abort.check()?;
-                tx.send(msg)
-                    .map_err(|_| abort_error(abort, "interconnect receiver disconnected"))
+            MsgSender::Mailbox(inbox, sender) => {
+                inbox.push(*sender, msg);
+                Ok(())
             }
             MsgSender::Net(tx) => tx.send(msg, abort),
-        }
-    }
-
-    /// Batches currently in flight toward the receiver (channel depth or
-    /// consumed credit-window slots).
-    pub fn queued(&self) -> usize {
-        match self {
-            MsgSender::Local(tx) => tx.len(),
-            MsgSender::Net(tx) => tx.queued(),
-        }
-    }
-}
-
-/// The receiving half of one directed motion edge.
-pub enum MsgReceiver {
-    Local(Receiver<Msg>),
-    Net(NetReceiver),
-}
-
-impl MsgReceiver {
-    pub fn recv(&self, abort: &AbortSignal) -> Result<Msg> {
-        match self {
-            MsgReceiver::Local(rx) => {
-                abort.check()?;
-                rx.recv()
-                    .map_err(|_| abort_error(abort, "interconnect sender disconnected"))
-            }
-            MsgReceiver::Net(rx) => rx.recv(abort),
-        }
-    }
-
-    /// The abort waker for this edge: it closes a local channel, which
-    /// fails the `send` or `recv` blocked on either end, or wakes a
-    /// socket edge's receive.
-    pub fn waker(&self) -> Box<dyn FnOnce() + Send> {
-        match self {
-            MsgReceiver::Local(rx) => {
-                let closer = rx.closer();
-                Box::new(move || closer.close())
-            }
-            MsgReceiver::Net(rx) => Box::new(rx.waker()),
         }
     }
 }
@@ -167,71 +172,28 @@ impl BatchPool {
     }
 }
 
-/// Wire counters for one motion, shared by all its channels.
+/// Wire counters for one motion, shared by all its edges.
 #[derive(Debug, Default)]
 pub struct MotionCounters {
     pub rows: AtomicU64,
     pub bytes: AtomicU64,
-    /// Highest observed in-flight batch count on any single channel —
-    /// `capacity` here means the backpressure bound was hit.
+    /// Most batches any one sender instance delivered to one receiver
+    /// instance: the largest mailbox slot of this motion.
     pub peak_queue: AtomicUsize,
 }
 
-/// The channel matrix for one motion: `n` sender instances × `n`
-/// receiver instances.
-pub struct MotionChannels {
-    /// `tx[sender][receiver]`, handed out to sender tasks. `None` rows
-    /// belong to instances hosted by another peer process.
-    pub tx: Vec<Option<Vec<MsgSender>>>,
-    /// `rx[receiver][sender]`, handed out to receiver tasks.
-    pub rx: Vec<Option<Vec<MsgReceiver>>>,
-}
-
-impl MotionChannels {
-    /// An all-local matrix: every edge is an in-process bounded channel.
-    pub fn new(n: usize, capacity: usize) -> MotionChannels {
-        let mut tx: Vec<Vec<MsgSender>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
-        let mut rx: Vec<Vec<MsgReceiver>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
-        for tx_row in tx.iter_mut() {
-            for rx_row in rx.iter_mut() {
-                let (s, r) = bounded(capacity);
-                tx_row.push(MsgSender::Local(s));
-                rx_row.push(MsgReceiver::Local(r));
-            }
-        }
-        MotionChannels {
-            tx: tx.into_iter().map(Some).collect(),
-            rx: rx.into_iter().map(Some).collect(),
-        }
-    }
-}
-
-/// A disconnect is a symptom: the abort closed the channel, or the peer
-/// failed and recorded its error before dropping its end. Report that
-/// root cause; a peer that hung up without recording one (a panic) is
-/// reported as an abort, never as a cause of its own.
-fn abort_error(abort: &AbortSignal, what: &str) -> OrcaError {
-    if abort.is_aborted() {
-        abort.error()
-    } else {
-        OrcaError::Aborted(what.into())
-    }
-}
-
-/// Count and ship one non-empty batch.
+/// Count and ship one non-empty batch; `sent` counts the edge's batches.
 fn send_batch(
     tx: &MsgSender,
     batch: ColumnBatch,
     abort: &AbortSignal,
     counters: &MotionCounters,
+    sent: &mut usize,
 ) -> Result<()> {
     counters.rows.fetch_add(batch.len as u64, Ordering::Relaxed);
     counters.bytes.fetch_add(batch.bytes(), Ordering::Relaxed);
-    tx.send(Msg::Batch(batch), abort)?;
-    counters
-        .peak_queue
-        .fetch_max(tx.queued(), Ordering::Relaxed);
-    Ok(())
+    *sent += 1;
+    tx.send(Msg::Batch(batch), abort)
 }
 
 /// Ship a batch list to one receiver, re-chunking anything larger than
@@ -242,16 +204,17 @@ fn send_batches(
     batch_rows: usize,
     abort: &AbortSignal,
     counters: &MotionCounters,
+    sent: &mut usize,
 ) -> Result<()> {
     let batch_rows = batch_rows.max(1);
     for mut b in batches {
         while b.len > batch_rows {
             let tail = b.split_off(batch_rows);
             let head = std::mem::replace(&mut b, tail);
-            send_batch(tx, head, abort, counters)?;
+            send_batch(tx, head, abort, counters, sent)?;
         }
         if !b.is_empty() {
-            send_batch(tx, b, abort, counters)?;
+            send_batch(tx, b, abort, counters, sent)?;
         }
     }
     Ok(())
@@ -260,7 +223,7 @@ fn send_batches(
 /// Send one slice instance's output stream into its motion.
 ///
 /// `stream` is the single-slot output of the kernel on physical segment
-/// `segment`; `txs[r]` is the channel to receiver instance `r`.
+/// `segment`; `txs[r]` is the edge to receiver instance `r`.
 #[allow(clippy::too_many_arguments)]
 pub fn send_stream(
     kind: &MotionKind,
@@ -299,11 +262,12 @@ pub fn send_stream(
     } else {
         stream.per_seg.into_iter().next().unwrap_or_default()
     };
+    let mut sent = vec![0usize; txs.len()];
     match kind {
         MotionKind::Gather | MotionKind::GatherMerge(_) => {
             // All rows land on the receiving gang's master instance —
             // whole kernel batches move onto the wire, no per-row work.
-            send_batches(&txs[0], batches, batch_rows, abort, counters)?;
+            send_batches(&txs[0], batches, batch_rows, abort, counters, &mut sent[0])?;
         }
         MotionKind::Redistribute(cols) => {
             // Key positions come precomputed from the slicer when the
@@ -353,7 +317,7 @@ pub fn send_stream(
                         rest = &rest[take..];
                         if parts[dest].len >= batch_rows {
                             let full = std::mem::replace(&mut parts[dest], pool.take(width));
-                            send_batch(&txs[dest], full, abort, counters)?;
+                            send_batch(&txs[dest], full, abort, counters, &mut sent[dest])?;
                         }
                     }
                 }
@@ -364,66 +328,77 @@ pub fn send_stream(
                 if part.is_empty() {
                     pool.put(part);
                 } else {
-                    send_batch(&txs[dest], part, abort, counters)?;
+                    send_batch(&txs[dest], part, abort, counters, &mut sent[dest])?;
                 }
             }
         }
         MotionKind::Broadcast => {
-            for tx in txs {
-                send_batches(tx, batches.clone(), batch_rows, abort, counters)?;
+            for (tx, sent) in txs.iter().zip(&mut sent) {
+                send_batches(tx, batches.clone(), batch_rows, abort, counters, sent)?;
             }
         }
     }
     for tx in txs {
         tx.send(Msg::Eos, abort)?;
     }
+    let most = sent.into_iter().max().unwrap_or(0);
+    counters.peak_queue.fetch_max(most, Ordering::Relaxed);
     Ok(())
 }
 
-/// A streaming [`RowSource`] over one sender's channel (post-`Open`),
-/// used by the GatherMerge receiver to merge without materializing.
-struct ChannelSource<'a> {
-    rx: &'a MsgReceiver,
-    buf: std::vec::IntoIter<Row>,
-    done: bool,
-    abort: &'a AbortSignal,
-    pool: &'a BatchPool,
+/// One sender's complete stream: its `Open` header and its batches.
+pub(crate) struct Delivered {
+    pub layout: Vec<ColId>,
+    pub avail: f64,
+    pub bytes: f64,
+    pub replicated: bool,
+    pub batches: Vec<ColumnBatch>,
 }
 
-impl RowSource for ChannelSource<'_> {
-    fn next_row(&mut self) -> Result<Option<Row>> {
-        loop {
-            if let Some(row) = self.buf.next() {
-                return Ok(Some(row));
+/// Check one complete slot's protocol (`Open`, `Batch`*, `Eos`) and
+/// unpack it.
+pub(crate) fn read_slot(slot: Vec<Msg>) -> Result<Delivered> {
+    let mut msgs = slot.into_iter();
+    let Some(Msg::Open {
+        layout,
+        avail,
+        bytes,
+        replicated,
+    }) = msgs.next()
+    else {
+        return Err(OrcaError::Execution(
+            "interconnect protocol error: stream did not start with Open".into(),
+        ));
+    };
+    let mut batches = Vec::new();
+    for msg in msgs {
+        match msg {
+            Msg::Batch(b) => batches.push(b),
+            Msg::Eos => {
+                return Ok(Delivered {
+                    layout,
+                    avail,
+                    bytes,
+                    replicated,
+                    batches,
+                })
             }
-            if self.done {
-                return Ok(None);
-            }
-            match self.rx.recv(self.abort)? {
-                Msg::Batch(b) => {
-                    let mut rows = Vec::new();
-                    b.to_rows(&mut rows);
-                    self.pool.put(b);
-                    self.buf = rows.into_iter();
-                }
-                Msg::Eos => self.done = true,
-                Msg::Open { .. } => {
-                    return Err(OrcaError::Execution(
-                        "interconnect protocol error: Open after stream start".into(),
-                    ))
-                }
-            }
+            Msg::Open { .. } => break,
         }
     }
+    Err(OrcaError::Execution(
+        "interconnect protocol error: duplicate Open or missing Eos".into(),
+    ))
 }
 
-/// Receive one motion's stream for receiver instance `segment`.
+/// Receive one motion's stream for receiver instance `segment` from its
+/// complete mailbox.
 ///
-/// `rxs[s]` is the channel from sender instance `s`. Returns the
-/// delivered single-slot [`ColStream`] the kernel's `ExchangeRecv` leaf
-/// will resolve to, coalesced into batches of up to `batch_rows` rows.
-/// Incoming batch shells are returned to `pool` after their columns are
-/// copied out — that copy is what keeps the free list warm.
+/// Returns the delivered single-slot [`ColStream`] the kernel's
+/// `ExchangeRecv` leaf will resolve to, coalesced into batches of up to
+/// `batch_rows` rows. Incoming batch shells are returned to `pool` after
+/// their columns are copied out — that copy is what keeps the free list
+/// warm.
 ///
 /// Besides the rows, this replays the serial engine's simulated motion
 /// clock (`exec_motion`) from the senders' `Open` headers: `base` is the
@@ -432,14 +407,13 @@ impl RowSource for ChannelSource<'_> {
 /// inputs (the serial `distinct_bytes`). The formulas and fold order
 /// match the serial engine exactly, and f64 sums of integer byte widths
 /// are exact, so the delivered `avail` — and therefore `sim_seconds` —
-/// is bit-equal to the serial engine's, whether the edge was a channel
+/// is bit-equal to the serial engine's, whether the edge was in-process
 /// or a socket.
 pub fn receive_stream(
     kind: &MotionKind,
-    rxs: &[MsgReceiver],
+    inbox: &Mailbox,
     segment: usize,
     cluster: &SegmentConfig,
-    abort: &AbortSignal,
     pool: &BatchPool,
     batch_rows: usize,
 ) -> Result<ColStream> {
@@ -450,25 +424,14 @@ pub fn receive_stream(
     let mut base = 0.0_f64;
     let mut total_bytes = 0.0_f64;
     let mut replicated_in = false;
-    for rx in rxs {
-        match rx.recv(abort)? {
-            Msg::Open {
-                layout: l,
-                avail,
-                bytes,
-                replicated,
-            } => {
-                layout = l;
-                base = base.max(avail);
-                total_bytes += bytes;
-                replicated_in = replicated;
-            }
-            _ => {
-                return Err(OrcaError::Execution(
-                    "interconnect protocol error: stream did not start with Open".into(),
-                ))
-            }
-        }
+    let mut senders: Vec<Vec<ColumnBatch>> = Vec::new();
+    for slot in inbox.take() {
+        let d = read_slot(slot)?;
+        layout = d.layout;
+        base = base.max(d.avail);
+        total_bytes += d.bytes;
+        replicated_in = d.replicated;
+        senders.push(d.batches);
     }
     let n = cluster.num_segments;
     let bytes = if replicated_in {
@@ -483,49 +446,31 @@ pub fn receive_stream(
     let mut merged_len = 0usize;
     match kind {
         MotionKind::GatherMerge(order) => {
-            // True streaming k-way merge across sender channels; ties
-            // break toward the lowest sender, matching the serial
-            // stable-sort-of-concatenation order.
-            let sources: Vec<ChannelSource<'_>> = rxs
-                .iter()
-                .map(|rx| ChannelSource {
-                    rx,
-                    buf: Vec::new().into_iter(),
-                    done: false,
-                    abort,
-                    pool,
+            // k-way merge across sender slots; ties break toward the
+            // lowest sender, matching the serial stable-sort-of-
+            // concatenation order.
+            let sources: Vec<ColumnBatch> = senders
+                .into_iter()
+                .map(|batches| {
+                    let source = ColumnBatch::concat(&batches, width);
+                    batches.into_iter().for_each(|b| pool.put(b));
+                    source
                 })
                 .collect();
-            let merged = kway_merge(sources, order, &out.layout)?;
-            merged_len = merged.len();
-            out.per_seg[0] = merged
-                .chunks(batch_rows)
-                .map(|c| ColumnBatch::from_rows(c, width))
-                .collect();
+            out.per_seg[0] = merge_sorted(&sources, order, &out.layout, batch_rows);
+            merged_len = out.per_seg[0].iter().map(|b| b.len).sum();
         }
         _ => {
             // Concatenate sender streams in sender-segment order,
             // coalescing small wire batches back up to `batch_rows`.
             let mut batches: Vec<ColumnBatch> = Vec::new();
             let mut cur = pool.take(width);
-            for rx in rxs {
-                loop {
-                    match rx.recv(abort)? {
-                        Msg::Batch(b) => {
-                            cur.extend_from_batch(&b);
-                            pool.put(b);
-                            while cur.len >= batch_rows {
-                                let tail = cur.split_off(batch_rows.min(cur.len));
-                                batches.push(std::mem::replace(&mut cur, tail));
-                            }
-                        }
-                        Msg::Eos => break,
-                        Msg::Open { .. } => {
-                            return Err(OrcaError::Execution(
-                                "interconnect protocol error: duplicate Open".into(),
-                            ))
-                        }
-                    }
+            for b in senders.into_iter().flatten() {
+                cur.extend_from_batch(&b);
+                pool.put(b);
+                while cur.len >= batch_rows {
+                    let tail = cur.split_off(batch_rows.min(cur.len));
+                    batches.push(std::mem::replace(&mut cur, tail));
                 }
             }
             if cur.is_empty() {
@@ -565,11 +510,10 @@ pub fn receive_stream(
 mod tests {
     use super::*;
     use crate::exec::StreamSet;
+    use crate::storage::Row;
     use orca_common::hash::segment_for_key;
     use orca_common::Datum;
     use orca_expr::props::OrderSpec;
-    use std::sync::Arc;
-    use std::time::Duration;
 
     fn stream(rows: Vec<Row>, replicated: bool) -> ColStream {
         let mut s = StreamSet::empty(vec![ColId(0), ColId(1)], 1);
@@ -584,68 +528,53 @@ mod tests {
             .collect()
     }
 
-    /// Run `n` senders and one receiving gang over real threads; returns
-    /// each receiver instance's delivered rows.
+    /// Run `n` senders into one receiving gang's mailboxes, then each
+    /// receiver; returns each receiver instance's delivered rows.
     fn round_trip(
         kind: MotionKind,
         per_sender: Vec<ColStream>,
         batch_rows: usize,
-        capacity: usize,
     ) -> Vec<Vec<Row>> {
-        round_trip_pooled(kind, per_sender, batch_rows, capacity).0
+        round_trip_pooled(kind, per_sender, batch_rows).0
     }
 
     fn round_trip_pooled(
         kind: MotionKind,
         per_sender: Vec<ColStream>,
         batch_rows: usize,
-        capacity: usize,
     ) -> (Vec<Vec<Row>>, u64) {
         let n = per_sender.len();
-        let mut ch = MotionChannels::new(n, capacity);
-        let abort = Arc::new(AbortSignal::new());
+        let inboxes: Vec<Arc<Mailbox>> =
+            (0..n).map(|_| Arc::new(Mailbox::new(n, |_| {}))).collect();
+        let abort = AbortSignal::new();
         let counters = MotionCounters::default();
         let pool = BatchPool::new();
         let cluster = SegmentConfig {
             num_segments: n,
             ..SegmentConfig::default()
         };
-        let got = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (s, stream) in per_sender.into_iter().enumerate() {
-                let txs = ch.tx[s].take().unwrap();
-                let kind = &kind;
-                let abort = &abort;
-                let counters = &counters;
-                let pool = &pool;
-                scope.spawn(move || {
-                    send_stream(
-                        kind, stream, s, &txs, batch_rows, abort, counters, pool, None,
-                    )
-                    .unwrap();
-                });
-            }
-            for r in 0..n {
-                let rxs = ch.rx[r].take().unwrap();
-                let kind = &kind;
-                let abort = &abort;
-                let pool = &pool;
-                let cluster = &cluster;
-                handles.push(scope.spawn(move || {
-                    let cs =
-                        receive_stream(kind, &rxs, r, cluster, abort, pool, batch_rows).unwrap();
-                    let mut rows = Vec::new();
-                    for b in &cs.per_seg[0] {
-                        b.to_rows(&mut rows);
-                    }
-                    rows
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect::<Vec<_>>()
-        });
+        for (s, stream) in per_sender.into_iter().enumerate() {
+            let txs: Vec<MsgSender> = inboxes
+                .iter()
+                .map(|inbox| MsgSender::Mailbox(Arc::clone(inbox), s))
+                .collect();
+            send_stream(
+                &kind, stream, s, &txs, batch_rows, &abort, &counters, &pool, None,
+            )
+            .unwrap();
+        }
+        let got = inboxes
+            .iter()
+            .enumerate()
+            .map(|(r, inbox)| {
+                let cs = receive_stream(&kind, inbox, r, &cluster, &pool, batch_rows).unwrap();
+                let mut rows = Vec::new();
+                for b in &cs.per_seg[0] {
+                    b.to_rows(&mut rows);
+                }
+                rows
+            })
+            .collect();
         (got, pool.reused())
     }
 
@@ -659,7 +588,6 @@ mod tests {
                 stream(rows2(&[]), false),
             ],
             2,
-            1,
         );
         assert_eq!(got[0], rows2(&[(3, 0), (1, 1), (2, 2)]));
         assert!(got[1].is_empty() && got[2].is_empty());
@@ -675,7 +603,6 @@ mod tests {
                 stream(rows2(&[(1, 20), (2, 21)]), false),
             ],
             1,
-            1,
         );
         // Ties (key 1) break toward sender 0.
         assert_eq!(got[0], rows2(&[(1, 10), (1, 20), (2, 21), (4, 11)]));
@@ -688,7 +615,6 @@ mod tests {
             MotionKind::Redistribute(vec![ColId(0)]),
             vec![stream(input.clone(), false), stream(rows2(&[]), false)],
             2,
-            1,
         );
         // Every row lands exactly once, on its hash segment.
         let mut all: Vec<Row> = got.iter().flatten().cloned().collect();
@@ -711,7 +637,6 @@ mod tests {
             MotionKind::Redistribute(vec![ColId(0)]),
             vec![stream(input.clone(), false), stream(rows2(&[]), false)],
             2,
-            2,
         );
         assert_eq!(got.iter().map(Vec::len).sum::<usize>(), input.len());
         assert!(reused > 0, "free list never served a take");
@@ -725,70 +650,8 @@ mod tests {
             MotionKind::Broadcast,
             vec![stream(copy.clone(), true), stream(copy.clone(), true)],
             1,
-            1,
         );
         assert_eq!(got[0], copy);
         assert_eq!(got[1], copy);
-    }
-
-    #[test]
-    fn tiny_capacity_backpressures_without_deadlock() {
-        let big: Vec<Row> = (0..500)
-            .map(|i| vec![Datum::Int(i), Datum::Int(i)])
-            .collect();
-        let got = round_trip(
-            MotionKind::Gather,
-            vec![stream(big.clone(), false)],
-            1, // one-row batches
-            1, // one batch in flight
-        );
-        assert_eq!(got[0], big);
-    }
-
-    /// A sender parked on a full channel returns within a millisecond of
-    /// the abort: the abort closes the channel rather than waiting for a
-    /// re-check.
-    #[test]
-    fn abort_unblocks_a_stuck_sender() {
-        let median = crate::test_util::median_abort_latency(|abort| {
-            std::thread::spawn(move || {
-                let mut ch = MotionChannels::new(1, 1);
-                let txs = ch.tx[0].take().unwrap();
-                let rxs = ch.rx[0].take().unwrap(); // held, never drained
-                let _wake = abort.on_abort(rxs[0].waker());
-                let rows: Vec<Row> = (0..100).map(|i| vec![Datum::Int(i)]).collect();
-                let mut s = StreamSet::empty(vec![ColId(0)], 1);
-                s.per_seg[0] = rows;
-                let s = ColStream::from_streamset(&s, 4);
-                let (counters, pool) = (MotionCounters::default(), BatchPool::new());
-                send_stream(
-                    &MotionKind::Gather,
-                    s,
-                    0,
-                    &txs,
-                    1,
-                    &abort,
-                    &counters,
-                    &pool,
-                    None,
-                )
-            })
-        });
-        assert!(median < Duration::from_millis(1), "median {median:?}");
-    }
-
-    /// A receiver parked on an empty channel wakes the same way.
-    #[test]
-    fn abort_unblocks_a_waiting_receiver() {
-        let median = crate::test_util::median_abort_latency(|abort| {
-            std::thread::spawn(move || {
-                let mut ch = MotionChannels::new(1, 1);
-                let _txs = ch.tx[0].take().unwrap(); // held, never sends
-                let rxs = ch.rx[0].take().unwrap();
-                let _wake = abort.on_abort(rxs[0].waker());
-                rxs[0].recv(&abort)
-            })
-        });
-        assert!(median < Duration::from_millis(1), "median {median:?}");
     }
 }

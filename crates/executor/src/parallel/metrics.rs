@@ -9,11 +9,11 @@ pub struct SliceMetrics {
     pub slice: usize,
     /// Full task lifecycle: receive + compute + send.
     pub wall_seconds: f64,
-    /// Kernel time only (under the compute gate).
+    /// Kernel time only.
     pub compute_seconds: f64,
 }
 
-/// Wire traffic for one motion, summed over its channels.
+/// Wire traffic for one motion, summed over its edges.
 #[derive(Debug, Clone, Default)]
 pub struct MotionMetrics {
     pub motion: usize,
@@ -21,8 +21,10 @@ pub struct MotionMetrics {
     pub kind: String,
     pub rows: u64,
     pub bytes: u64,
-    /// Highest observed in-flight batch count on any single channel.
-    /// Equal to the configured channel capacity ⇒ backpressure engaged.
+    /// The largest mailbox slot of this motion, in batches: the most
+    /// batches one sender instance delivered to one receiver instance
+    /// (this process's senders only, in a distributed run). Slots are
+    /// unbounded, so this is a buffering measure, not a window.
     pub peak_queue_depth: usize,
     /// Frames this process wrote to sockets for this motion's remote
     /// edges (zero when every edge was in-process).
@@ -38,7 +40,7 @@ pub struct MotionMetrics {
 /// Execution-wide parallel statistics, returned alongside the rows.
 #[derive(Debug, Clone, Default)]
 pub struct ParallelStats {
-    /// Compute-phase parallelism the run was configured with.
+    /// Threads the run was configured to use for its tasks.
     pub workers: usize,
     pub num_slices: usize,
     /// Always `false`: every plan is sliced (cross-slice CTEs run through
@@ -83,7 +85,7 @@ impl ParallelStats {
         self.motions.iter().map(|m| m.bytes).sum()
     }
 
-    /// Highest channel occupancy seen on any motion.
+    /// The largest mailbox slot, in batches, of any motion.
     pub fn peak_queue_depth(&self) -> usize {
         self.motions
             .iter()

@@ -10,21 +10,23 @@
 //!   and each instance runs the columnar kernel ([`crate::columnar`]) in
 //!   single-segment mode (see [`crate::exec::ExecCtx`]). The row
 //!   interpreter runs whole plans only, as the serial oracle.
-//! * [`interconnect`] moves **columnar batches** between gangs over
-//!   bounded channels — Gather, GatherMerge (true streaming k-way merge
-//!   at the receiver), Redistribute (hash fan-out into per-destination
-//!   column builders), Broadcast — with bounded capacity providing
-//!   backpressure, EOS markers ending streams, and a shared
-//!   [`interconnect::BatchPool`] recycling consumed batch shells.
+//! * [`interconnect`] moves **columnar batches** between gangs —
+//!   Gather, GatherMerge (k-way merge at the receiver), Redistribute
+//!   (hash fan-out into per-destination column builders), Broadcast —
+//!   into per-receiver mailboxes with one slot per sender, EOS markers
+//!   ending each slot, and a shared [`interconnect::BatchPool`]
+//!   recycling consumed batch shells.
 //! * [`spool`] materializes cross-slice CTE producers exactly once per
-//!   segment into a shared rendezvous (hoisted by [`slice`] into spool
-//!   slices), so consumer gangs read concurrently instead of the plan
-//!   falling back to serial execution.
-//! * [`driver`] schedules the slice×segment tasks on a worker pool,
+//!   segment into a shared map (hoisted by [`slice`] into spool slices),
+//!   so consumer gangs read them instead of the plan falling back to
+//!   serial execution.
+//! * [`driver`] runs the slice×segment tasks as one dependency-ordered
+//!   pass on `workers` threads — a task runs once its mailboxes and
+//!   spooled CTEs are complete, so no task ever blocks on another —
 //!   propagates errors/cancellation/deadlines through a shared
 //!   [`orca_gpos::AbortSignal`], and assembles the final result.
 //! * [`metrics`] reports per-slice wall times, per-motion rows/bytes,
-//!   and peak channel occupancy.
+//!   and the largest mailbox slot.
 //!
 //! Correctness bar: for any plan the serial engine can run, the parallel
 //! engine returns a **byte-identical** result set at every worker count.

@@ -57,8 +57,7 @@ pub struct Slice {
     /// shared spool instead of feeding a motion or the result.
     pub spool_output: Option<CteId>,
     /// Hoisted CTEs this slice consumes. The driver delivers each one
-    /// from the shared spool before the slice's kernel runs (sorted for
-    /// deterministic wait order).
+    /// from the shared spool before the slice's kernel runs (sorted).
     pub spool_inputs: Vec<CteId>,
 }
 

@@ -1,24 +1,16 @@
 //! Shared columnar spool for cross-slice CTE materialization.
 //!
 //! A hoisted producer slice (see [`super::slice`]) runs once per segment
-//! and publishes its segment's share of the CTE here; every consumer
-//! gang instance waits for the `(cte, segment)` payload it needs before
-//! entering its compute phase. Publishing happens after the producer
-//! releases its compute slot and waiting happens before the consumer
-//! acquires one, so the spool never interacts with the compute gate —
-//! the same discipline that keeps the interconnect deadlock-free.
-//!
-//! A wait blocks until a publish or the run's abort wakes it (the run
-//! registers [`SharedSpool::wake`] with its [`AbortSignal`]), so a failed
-//! or cancelled producer drains its consumers at once instead of hanging
-//! them.
+//! and publishes its segment's share of the CTE here. A consumer task
+//! counts each `(cte, segment)` payload it reads among its inputs, so
+//! the driver runs it only after the producer task published: reading
+//! the spool never waits.
 
 use crate::columnar::{ColStream, ColumnBatch};
-use orca_common::{ColId, CteId, Result};
-use orca_gpos::AbortSignal;
+use orca_common::{ColId, CteId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// One segment's share of a materialized CTE: exactly the per-slot state
 /// the serial kernel would have stashed for that segment.
@@ -65,13 +57,12 @@ impl SpoolPayload {
     }
 }
 
-/// The per-run spool: a rendezvous map from `(cte, segment)` to the
-/// published payload. One instance lives for the duration of one
-/// parallel run, shared by every task thread.
+/// The per-run spool: a map from `(cte, segment)` to the published
+/// payload. One instance lives for the duration of one parallel run,
+/// shared by every worker thread.
 #[derive(Default)]
 pub struct SharedSpool {
     slots: Mutex<HashMap<(CteId, usize), Arc<SpoolPayload>>>,
-    ready: Condvar,
     rows: AtomicU64,
     /// Process-wide executor memory budget ([`crate::memory`]); spooled
     /// CTE bytes are charged for the spool's lifetime.
@@ -90,7 +81,7 @@ impl SharedSpool {
         self
     }
 
-    /// Publish one segment's payload and wake every waiter.
+    /// Publish one segment's payload.
     pub fn publish(&self, id: CteId, seg: usize, payload: SpoolPayload) {
         self.rows.fetch_add(payload.rows(), Ordering::Relaxed);
         if let Some(b) = &self.budget {
@@ -102,30 +93,11 @@ impl SharedSpool {
             .lock()
             .unwrap()
             .insert((id, seg), Arc::new(payload));
-        self.ready.notify_all();
     }
 
-    /// Block until the producer gang publishes `(id, seg)` or the abort
-    /// trips.
-    pub fn wait(&self, id: CteId, seg: usize, abort: &AbortSignal) -> Result<Arc<SpoolPayload>> {
-        abort.check()?;
-        let mut slots = self.slots.lock().unwrap();
-        loop {
-            if let Some(p) = slots.get(&(id, seg)) {
-                return Ok(Arc::clone(p));
-            }
-            if abort.is_tripped() {
-                drop(slots);
-                return Err(abort.error());
-            }
-            slots = self.ready.wait(slots).unwrap();
-        }
-    }
-
-    /// Wake every waiter; the run's abort waker.
-    pub fn wake(&self) {
-        drop(self.slots.lock());
-        self.ready.notify_all();
+    /// The published payload of `(id, seg)`, if its producer has run.
+    pub fn get(&self, id: CteId, seg: usize) -> Option<Arc<SpoolPayload>> {
+        self.slots.lock().unwrap().get(&(id, seg)).cloned()
     }
 
     /// Total rows published so far.
@@ -164,38 +136,11 @@ mod tests {
             replicated: false,
         };
         spool.publish(CteId(4), 2, SpoolPayload::from_colstream(cs));
-        let abort = AbortSignal::new();
-        let p = spool.wait(CteId(4), 2, &abort).unwrap();
+        let p = spool.get(CteId(4), 2).unwrap();
         assert_eq!(p.rows(), 2);
         assert_eq!(p.avail, 1.5);
         assert_eq!(spool.rows_published(), 2);
         let back = p.to_colstream();
         assert_eq!(back.seg_rows(0), 2);
-    }
-
-    #[test]
-    fn wait_observes_abort() {
-        let spool = SharedSpool::new();
-        let abort = AbortSignal::new();
-        abort.abort();
-        assert!(spool.wait(CteId(1), 0, &abort).is_err());
-    }
-
-    /// A consumer whose producer never publishes returns within a
-    /// millisecond of the abort.
-    #[test]
-    fn abort_wakes_a_waiting_consumer() {
-        let median = crate::test_util::median_abort_latency(|abort| {
-            std::thread::spawn(move || {
-                let spool = Arc::new(SharedSpool::new());
-                let woken = Arc::clone(&spool);
-                let _wake = abort.on_abort(move || woken.wake());
-                spool.wait(CteId(1), 0, &abort)
-            })
-        });
-        assert!(
-            median < std::time::Duration::from_millis(1),
-            "median {median:?}"
-        );
     }
 }

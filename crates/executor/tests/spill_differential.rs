@@ -195,7 +195,6 @@ fn assert_differential(db: &Arc<Database>, plan: &PhysicalPlan, out: &[ColId]) -
         let cfg = ParallelConfig {
             workers,
             batch_rows: 7,
-            channel_capacity: 2,
             ..ParallelConfig::default()
         };
         let par = ParallelEngine::with_config(db, cfg).run(plan, out).unwrap();

@@ -126,12 +126,11 @@ impl Default for ServiceConfig {
 pub struct ExecuteConfig {
     /// Run on the [`ParallelEngine`]; `false` = the serial engine.
     pub parallel: bool,
-    /// Compute workers for the parallel engine; `0` = host parallelism.
+    /// Threads running each parallel gang (the caller plus `workers − 1`
+    /// helpers); `0` = host parallelism.
     pub workers: usize,
     /// Interconnect batch size in rows.
     pub batch_rows: usize,
-    /// Interconnect channel capacity in batches (backpressure window).
-    pub channel_capacity: usize,
     /// Per-query execution deadline.
     pub deadline: Option<Duration>,
     /// Serial runs (`parallel: false`) only: stream through the
@@ -147,7 +146,6 @@ impl Default for ExecuteConfig {
             parallel: true,
             workers: 0,
             batch_rows: 256,
-            channel_capacity: 4,
             deadline: None,
             columnar: true,
         }
@@ -161,7 +159,6 @@ impl ExecuteConfig {
             cfg.workers = self.workers;
         }
         cfg.batch_rows = self.batch_rows;
-        cfg.channel_capacity = self.channel_capacity;
         cfg.deadline = self.deadline;
         cfg
     }
@@ -611,7 +608,7 @@ impl Service {
 
     /// Metrics snapshot.
     pub fn stats(&self) -> ServiceStats {
-        let mut s = self.metrics.snapshot(0, 0);
+        let mut s = self.metrics.snapshot();
         self.cache.fill_stats(&mut s);
         s.cache_bytes = self.cache.bytes();
         s.cache_entries = self.cache.len() as u64;

@@ -170,9 +170,8 @@ impl ServiceMetrics {
         self.exec_latencies.lock().record(d);
     }
 
-    /// Snapshot counters and compute latency percentiles. Cache counters
-    /// are passed in by the owner (they live in the plan cache).
-    pub fn snapshot(&self, cache_evictions: u64, cache_invalidations: u64) -> ServiceStats {
+    /// Snapshot counters and compute latency percentiles.
+    pub fn snapshot(&self) -> ServiceStats {
         let (p50, p99, n) = self.latencies.lock().percentiles();
         let (ep50, ep99, en) = self.exec_latencies.lock().percentiles();
         ServiceStats {
@@ -182,8 +181,6 @@ impl ServiceMetrics {
             degraded: self.degraded.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_evictions,
-            cache_invalidations,
             coalesced: 0,
             executed: self.executed.load(Ordering::Relaxed),
             net_connections: self.net_connections.load(Ordering::Relaxed),
@@ -200,8 +197,9 @@ impl ServiceMetrics {
             p50_execute: ep50,
             p99_execute: ep99,
             exec_latency_samples: en,
-            // Occupancy and fragment-cache counters live next to their
-            // owners; the service fills them in after snapshotting.
+            // Occupancy, plan-cache eviction/invalidation and fragment-cache
+            // counters live next to their owners; the service fills them
+            // in after snapshotting.
             ..ServiceStats::default()
         }
     }
@@ -217,7 +215,7 @@ mod tests {
         for i in 1..=100u64 {
             m.record_latency(Duration::from_micros(i * 10));
         }
-        let s = m.snapshot(0, 0);
+        let s = m.snapshot();
         assert_eq!(s.latency_samples, 100);
         // Index: round((100-1) * 0.5) = 50 → the 51st sample.
         assert_eq!(s.p50_optimize, Duration::from_micros(510));
@@ -230,7 +228,7 @@ mod tests {
         for _ in 0..(LATENCY_SAMPLES + 100) {
             m.record_latency(Duration::from_micros(7));
         }
-        let s = m.snapshot(0, 0);
+        let s = m.snapshot();
         assert_eq!(s.latency_samples, LATENCY_SAMPLES);
         assert_eq!(s.p99_optimize, Duration::from_micros(7));
     }
@@ -241,7 +239,7 @@ mod tests {
         m.record_latency(Duration::from_micros(100));
         m.record_exec_latency(Duration::from_micros(7));
         m.record_exec_latency(Duration::from_micros(9));
-        let s = m.snapshot(0, 0);
+        let s = m.snapshot();
         assert_eq!(s.latency_samples, 1);
         assert_eq!(s.exec_latency_samples, 2);
         assert_eq!(s.p50_execute, Duration::from_micros(9));

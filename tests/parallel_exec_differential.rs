@@ -263,7 +263,6 @@ proptest! {
             let engine = ParallelEngine::with_config(&fx.db, ParallelConfig {
                 workers,
                 batch_rows: 7,
-                channel_capacity: 2,
                 deadline: None,
                 ..ParallelConfig::default()
             });
@@ -320,7 +319,6 @@ fn empty_streams_are_identical_across_kernels() {
         ParallelConfig {
             workers: 2,
             batch_rows: 7,
-            channel_capacity: 2,
             deadline: None,
             ..ParallelConfig::default()
         },
@@ -363,7 +361,6 @@ fn mid_query_abort_drains_without_deadlock() {
         ParallelConfig {
             workers: 2,
             batch_rows: 1,
-            channel_capacity: 1,
             deadline: None,
             ..ParallelConfig::default()
         },
@@ -394,7 +391,6 @@ fn deadline_under_backpressure_times_out_cleanly() {
         ParallelConfig {
             workers: 2,
             batch_rows: 1,
-            channel_capacity: 1,
             deadline: Some(Duration::ZERO),
             ..ParallelConfig::default()
         },
@@ -472,7 +468,6 @@ fn assert_spooled_identical(
             ParallelConfig {
                 workers,
                 batch_rows: 7,
-                channel_capacity: 2,
                 deadline: None,
                 ..ParallelConfig::default()
             },
@@ -609,7 +604,6 @@ fn tiny_interconnect_window_still_completes() {
         ParallelConfig {
             workers: 1,
             batch_rows: 1,
-            channel_capacity: 1,
             deadline: Some(Duration::from_secs(60)),
             ..ParallelConfig::default()
         },
@@ -772,7 +766,6 @@ proptest! {
             let engine = ParallelEngine::with_config(db, ParallelConfig {
                 workers,
                 batch_rows: 7,
-                channel_capacity: 2,
                 deadline: None,
                 ..ParallelConfig::default()
             });
