@@ -17,7 +17,7 @@
 //!   [`GroupId`]; a merged group stays behind as a drained shell so stale
 //!   ids keep resolving;
 //! * **duplicate detection** is one flat map from expression topology to
-//!   the single location storing it (see [`DedupIndex`]);
+//!   the single location storing it (see `DedupIndex`);
 //! * the §4.2 **union-find** is a `Vec<u32>` of parent ids with path
 //!   halving, and a forwarding map follows expressions relocated by merges;
 //! * the **selectivity cache** is one map keyed by canonical scope groups.
@@ -37,7 +37,7 @@
 //! context never held the incumbent best**: pruning can discard only
 //! candidates that are provably not cheapest, so the chosen plan — and its
 //! cost — are identical with pruning on or off. Pruned attempts are counted
-//! in [`SearchMetrics::contexts_pruned`].
+//! in `SearchMetrics::contexts_pruned`.
 
 use crate::props::{DerivedProps, ReqId, ReqdProps};
 use crate::stats::GroupStats;

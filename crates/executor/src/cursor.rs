@@ -1,46 +1,22 @@
 //! Streaming cursors over plan execution.
 //!
-//! [`crate::engine::ExecEngine::run`] buffers the *entire* projected
-//! rowset before the caller sees a single row. A [`Cursor`] replaces that
-//! contract with incremental delivery: a producer thread runs the plan
-//! and hands projected row batches to the consumer through a bounded
-//! channel, so
-//!
-//! * the consumer-side buffer is at most [`CHANNEL_BATCHES`]` + 1`
-//!   batches, regardless of result size;
-//! * the first batch is available before the producer has finished
-//!   projecting the rowset ([`Cursor::producer_finished`] observes the
-//!   boundary); and
-//! * dropping or [`Cursor::close`]-ing the cursor cancels the plan
-//!   mid-flight via the shared [`AbortSignal`] — the kernel checks it at
-//!   every operator boundary and the producer checks it before every
-//!   send.
-//!
-//! The hand-off blocks rather than polls: a producer that finds the
-//! channel full parks in `SyncSender::send` until the consumer takes a
-//! batch, which is the backpressure. Teardown therefore raises the abort
-//! and then drains the receiver *before* joining: each receive frees a
-//! slot, the parked producer wakes, fails its next abort check and hangs
-//! up. Joining first would deadlock on a producer parked on a full
-//! channel.
-//!
-//! Batches, rows, the final simulated time, and every [`ExecStats`]
-//! counter are identical to the buffering path — the cursor streams the
-//! projection/delivery phase, it does not change what executes.
+//! [`crate::engine::ExecEngine::run`] collects the *entire* projected
+//! rowset before the caller sees a row. A [`Cursor`] is a pull iterator
+//! the caller drives instead: [`Cursor::open`] only records the plan, the
+//! first [`Cursor::next_batch`] runs it through the engine's serial path
+//! (so time to the first batch includes the whole execution), and each
+//! call then projects and returns the next `batch_rows` rows of the
+//! finished run. Nothing runs in the background: closing or dropping a
+//! cursor drops the rows not yet delivered. Batches, rows, the simulated
+//! time, and every [`ExecStats`] counter equal the buffering path's.
 
-use crate::columnar::cexec;
-use crate::exec::{exec, key_positions, ExecCtx, ExecStats};
+use crate::engine::{ExecEngine, Rows, Run};
+use crate::exec::ExecStats;
 use crate::storage::{Database, Row};
 use orca_common::{ColId, OrcaError, Result};
 use orca_expr::physical::PhysicalPlan;
-use orca_gpos::AbortSignal;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::iter::Peekable;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-
-/// Batches buffered in the channel before the producer blocks.
-const CHANNEL_BATCHES: usize = 2;
 
 /// Options for [`Cursor::open`].
 #[derive(Default)]
@@ -55,7 +31,7 @@ pub struct CursorOptions {
     pub mem: Option<Arc<crate::memory::MemoryTracker>>,
 }
 
-/// Final per-query report, available once the cursor is exhausted.
+/// Final per-query report, available once the last batch is taken.
 #[derive(Debug, Clone)]
 pub struct CursorSummary {
     /// Deterministic simulated cluster time — identical to
@@ -66,299 +42,126 @@ pub struct CursorSummary {
     pub rows_emitted: u64,
 }
 
-enum Msg {
-    Batch(Vec<Row>),
-    Done(Box<CursorSummary>),
-    Fail(OrcaError),
+enum State {
+    /// Runs the recorded plan on the row or the columnar kernel.
+    Open(Box<dyn FnOnce() -> Result<Run> + Send>),
+    /// The run finished; these rows are not yet delivered.
+    Streaming(Peekable<Rows>),
+    /// The last batch was taken, or the cursor was closed.
+    Done,
+    Failed(OrcaError),
 }
 
 /// A streaming result handle; see the module docs.
 pub struct Cursor {
-    rx: Receiver<Msg>,
-    abort: Arc<AbortSignal>,
-    produced_all: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    state: State,
+    batch_rows: usize,
     summary: Option<CursorSummary>,
-    failed: Option<OrcaError>,
-    done: bool,
 }
 
 impl Cursor {
-    /// Start executing `plan` on a producer thread and return immediately.
-    ///
-    /// Plan errors (including preflight OOM rejections) surface from
-    /// [`Cursor::next_batch`], not from `open`.
+    /// Record `plan` for execution; nothing runs until the first
+    /// [`Cursor::next_batch`], which is where plan errors (out-of-memory
+    /// rejections too) surface.
     pub fn open(
         db: Arc<Database>,
         plan: &PhysicalPlan,
         output_cols: &[ColId],
         opts: CursorOptions,
     ) -> Cursor {
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Msg>(CHANNEL_BATCHES);
-        let abort = Arc::new(AbortSignal::new());
-        let produced_all = Arc::new(AtomicBool::new(false));
-        let plan = plan.clone();
-        let output_cols = output_cols.to_vec();
-        let thread_abort = Arc::clone(&abort);
-        let thread_flag = Arc::clone(&produced_all);
-        let handle = std::thread::spawn(move || {
-            produce(db, plan, output_cols, opts, tx, thread_abort, thread_flag);
-        });
+        let batch_rows = match opts.batch_rows {
+            0 => db.cluster.batch_size.max(1),
+            n => n,
+        };
+        let (plan, output_cols) = (plan.clone(), output_cols.to_vec());
+        let start = move || {
+            let engine = ExecEngine {
+                db: &db,
+                fragments: opts.fragments,
+                mem: opts.mem,
+            };
+            if opts.columnar {
+                engine.run_cols(&plan, &output_cols)
+            } else {
+                engine.run_rows(&plan, &output_cols)
+            }
+        };
         Cursor {
-            rx,
-            abort,
-            produced_all,
-            handle: Some(handle),
+            state: State::Open(Box::new(start)),
+            batch_rows,
             summary: None,
-            failed: None,
-            done: false,
         }
     }
 
-    /// The next batch of projected rows, `None` once exhausted. After
-    /// `None`, [`Cursor::summary`] is available.
+    /// The next batch of projected rows, `None` once exhausted. The first
+    /// call runs the plan. After `None`, [`Cursor::summary`] is available.
     pub fn next_batch(&mut self) -> Result<Option<Vec<Row>>> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
+        self.state = match std::mem::replace(&mut self.state, State::Done) {
+            State::Open(start) => match start() {
+                Ok((rows, sim_seconds, stats)) => {
+                    self.summary = Some(CursorSummary {
+                        sim_seconds,
+                        stats,
+                        rows_emitted: 0,
+                    });
+                    State::Streaming(rows.peekable())
+                }
+                Err(e) => State::Failed(e),
+            },
+            state => state,
+        };
+        let rows = match &mut self.state {
+            State::Streaming(rows) => rows,
+            State::Failed(e) => return Err(e.clone()),
+            State::Open(_) | State::Done => return Ok(None),
+        };
+        let batch: Vec<Row> = rows.by_ref().take(self.batch_rows).collect();
+        if rows.peek().is_none() {
+            self.state = State::Done;
         }
-        if self.done {
+        if batch.is_empty() {
             return Ok(None);
         }
-        match self.rx.recv() {
-            Ok(Msg::Batch(b)) => Ok(Some(b)),
-            Ok(Msg::Done(s)) => {
-                self.summary = Some(*s);
-                self.done = true;
-                self.join();
-                Ok(None)
-            }
-            Ok(Msg::Fail(e)) => {
-                self.failed = Some(e.clone());
-                self.done = true;
-                self.join();
-                Err(e)
-            }
-            Err(_) => {
-                // Producer hung up without a terminal message: it observed
-                // an abort mid-send. Surface the recorded reason.
-                let e = self.abort.error();
-                self.failed = Some(e.clone());
-                self.done = true;
-                self.join();
-                Err(e)
-            }
+        if let Some(s) = &mut self.summary {
+            s.rows_emitted += batch.len() as u64;
         }
+        Ok(Some(batch))
     }
 
-    /// Whether the producer has emitted its last batch (later batches may
-    /// still be queued in the channel). While this is `false`, any batch
-    /// the consumer already holds was delivered *before* the rowset was
-    /// fully materialized on the producer side.
+    /// Whether the last batch has been taken. `false` before the first
+    /// batch; after it, `false` exactly while more rows remain.
     pub fn producer_finished(&self) -> bool {
-        self.produced_all.load(Ordering::SeqCst)
+        matches!(self.state, State::Done)
     }
 
-    /// The final report; `Some` only after [`Cursor::next_batch`] returned
-    /// `None`.
+    /// The final report of a cursor that ran its plan, once the last batch
+    /// has been taken or the cursor was closed; `rows_emitted` counts the
+    /// rows delivered.
     pub fn summary(&self) -> Option<&CursorSummary> {
-        self.summary.as_ref()
+        let done = matches!(self.state, State::Done);
+        self.summary.as_ref().filter(|_| done)
     }
 
-    /// Cancel the query and discard any undelivered batches. Safe to call
-    /// at any point; the producer observes the abort at its next operator
-    /// boundary or send attempt.
+    /// Stop delivering: the rows not yet taken are dropped. Safe to call
+    /// at any point; a cursor closed before its first batch never runs.
     pub fn close(&mut self) {
-        if !self.done {
-            self.abort.abort();
-            // Drain until the producer hangs up: each receive frees a slot,
-            // so a producer parked on a full channel wakes and then fails
-            // its next abort check.
-            while let Ok(msg) = self.rx.recv() {
-                if let Msg::Done(s) = msg {
-                    self.summary = Some(*s);
-                    break;
-                }
-            }
-            self.done = true;
+        if !matches!(self.state, State::Failed(_)) {
+            self.state = State::Done;
         }
-        self.join();
     }
 
     /// Drain every remaining batch and return (all rows, final summary) —
-    /// the buffering-path contract, for callers that do want the full
-    /// rowset.
+    /// the buffering-path contract, for callers that want the full rowset.
     pub fn collect(mut self) -> Result<(Vec<Row>, CursorSummary)> {
         let mut rows = Vec::new();
         while let Some(b) = self.next_batch()? {
             rows.extend(b);
         }
-        let summary = self
-            .summary
-            .take()
-            .expect("cursor summary present after final batch");
-        Ok((rows, summary))
+        Ok((
+            rows,
+            self.summary.expect("cursor summary after final batch"),
+        ))
     }
-
-    fn join(&mut self) {
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Cursor {
-    fn drop(&mut self) {
-        // Abort, drain, then reap: `rx` is dropped only after this body
-        // returns, so joining before the drain would wait forever on a
-        // producer parked in a blocking send.
-        self.close();
-    }
-}
-
-/// Producer-side body: run the plan, then stream the projection.
-fn produce(
-    db: Arc<Database>,
-    plan: PhysicalPlan,
-    output_cols: Vec<ColId>,
-    opts: CursorOptions,
-    tx: SyncSender<Msg>,
-    abort: Arc<AbortSignal>,
-    produced_all: Arc<AtomicBool>,
-) {
-    let result = run_plan(&db, &plan, &output_cols, &opts, &abort, &tx, &produced_all);
-    if let Err(e) = result {
-        // Best-effort: the consumer may already be gone.
-        let _ = send(&tx, &abort, Msg::Fail(e));
-    }
-}
-
-fn run_plan(
-    db: &Database,
-    plan: &PhysicalPlan,
-    output_cols: &[ColId],
-    opts: &CursorOptions,
-    abort: &Arc<AbortSignal>,
-    tx: &SyncSender<Msg>,
-    produced_all: &AtomicBool,
-) -> Result<()> {
-    // Same preflight rule as `ExecEngine`: reject provably-oversized
-    // plans up front when the cluster cannot spill.
-    if !db.cluster.can_spill {
-        let budget = opts
-            .mem
-            .as_ref()
-            .map(|m| m.operator_budget(db.cluster.work_mem_bytes))
-            .unwrap_or(db.cluster.work_mem_bytes);
-        crate::memory::preflight(plan, db, budget)?;
-    }
-    let mut ctx = ExecCtx::new(db);
-    ctx.abort = Some(Arc::clone(abort));
-    if let Some(m) = &opts.mem {
-        ctx.mem = Arc::clone(m);
-    }
-    let batch_rows = if opts.batch_rows == 0 {
-        db.cluster.batch_size.max(1)
-    } else {
-        opts.batch_rows
-    };
-    let mut emitter = Emitter {
-        tx,
-        abort,
-        batch_rows,
-        chunk: Vec::new(),
-        rows_emitted: 0,
-    };
-    let sim_seconds;
-    if opts.columnar {
-        ctx.frag = opts.fragments.clone();
-        ctx.pool = Some(Arc::new(crate::parallel::BatchPool::new()));
-        let stream = cexec(plan, &mut ctx)?;
-        sim_seconds = stream.elapsed();
-        let positions = key_positions(&stream.layout, output_cols)?;
-        let slots = if stream.replicated {
-            &stream.per_seg[..1]
-        } else {
-            &stream.per_seg[..]
-        };
-        for batches in slots {
-            for b in batches {
-                for i in 0..b.len {
-                    let row = positions.iter().map(|&p| b.cols[p].get(i)).collect();
-                    emitter.push(row)?;
-                }
-            }
-        }
-    } else {
-        let stream = exec(plan, &mut ctx)?;
-        sim_seconds = stream.elapsed();
-        let positions = key_positions(&stream.layout, output_cols)?;
-        let slots = if stream.replicated {
-            &stream.per_seg[..1]
-        } else {
-            &stream.per_seg[..]
-        };
-        for rows in slots {
-            for row in rows {
-                let projected = positions.iter().map(|&p| row[p].clone()).collect();
-                emitter.push(projected)?;
-            }
-        }
-    }
-    emitter.flush()?;
-    let rows_emitted = emitter.rows_emitted;
-    // Flag first, then Done: a consumer that received a batch while this
-    // is still false got it before full materialization.
-    produced_all.store(true, Ordering::SeqCst);
-    send(
-        tx,
-        abort,
-        Msg::Done(Box::new(CursorSummary {
-            sim_seconds,
-            stats: ctx.stats,
-            rows_emitted,
-        })),
-    )?;
-    Ok(())
-}
-
-/// Accumulates projected rows into `batch_rows`-sized chunks and sends
-/// each full chunk downstream.
-struct Emitter<'a> {
-    tx: &'a SyncSender<Msg>,
-    abort: &'a AbortSignal,
-    batch_rows: usize,
-    chunk: Vec<Row>,
-    rows_emitted: u64,
-}
-
-impl Emitter<'_> {
-    fn push(&mut self, row: Row) -> Result<()> {
-        self.chunk.push(row);
-        if self.chunk.len() >= self.batch_rows {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        if self.chunk.is_empty() {
-            return Ok(());
-        }
-        self.rows_emitted += self.chunk.len() as u64;
-        let batch = std::mem::take(&mut self.chunk);
-        send(self.tx, self.abort, Msg::Batch(batch))
-    }
-}
-
-/// Bounded send: check the abort flag, then block until the consumer
-/// frees a slot. Teardown drains the channel after aborting, so a send
-/// parked here always wakes; the check on the next send then stops the
-/// producer.
-fn send(tx: &SyncSender<Msg>, abort: &AbortSignal, msg: Msg) -> Result<()> {
-    abort.check()?;
-    // Disconnected: the consumer is gone; treat as cancellation.
-    tx.send(msg)
-        .map_err(|_| OrcaError::Aborted("cursor closed".into()))
 }
 
 #[cfg(test)]
@@ -432,8 +235,8 @@ mod tests {
         }
     }
 
-    /// The first batch arrives while the producer still has batches to
-    /// emit — the cursor does not buffer the whole rowset first.
+    /// The first batch arrives while later batches are still unprojected —
+    /// the cursor does not project the whole rowset first.
     #[test]
     fn first_batch_before_full_materialization() {
         let (db, t) = db();
@@ -443,22 +246,21 @@ mod tests {
             &plan,
             &[ColId(0)],
             CursorOptions {
-                batch_rows: 8, // 200 rows -> 25 batches >> channel bound
+                batch_rows: 8, // 200 rows -> 25 batches
                 ..CursorOptions::default()
             },
         );
         let first = cursor.next_batch().unwrap().expect("first batch");
         assert_eq!(first.len(), 8);
-        // With 25 batches and a channel bound of 2, the producer cannot
-        // have finished when the first batch is consumed.
+        // 24 batches remain after the first.
         assert!(!cursor.producer_finished());
         let (rest, summary) = cursor.collect().unwrap();
         assert_eq!(first.len() + rest.len(), 200);
         assert_eq!(summary.rows_emitted, 200);
     }
 
-    /// Early close cancels the producer without deadlock and without
-    /// draining the full result.
+    /// Early close drops the undelivered rows without projecting them; the
+    /// cursor then reports exhaustion and the finished run's summary.
     #[test]
     fn close_cancels_producer() {
         let (db, t) = db();
@@ -473,24 +275,14 @@ mod tests {
             },
         );
         let _ = cursor.next_batch().unwrap().expect("first batch");
-        cursor.close(); // joins the producer; must not hang
+        cursor.close();
         assert!(cursor.next_batch().unwrap().is_none());
+        // The finished run still reports, counting the delivered rows.
+        assert_eq!(cursor.summary().expect("summary").rows_emitted, 4);
     }
 
-    /// Yield for a few milliseconds after the first batch: long enough for
-    /// the producer to refill the channel and park on its next send. The
-    /// channel gives no way to observe the park, so this decides only
-    /// whether the parked case is exercised; the assertions hold on any
-    /// interleaving.
-    fn let_producer_park() {
-        let start = std::time::Instant::now();
-        while start.elapsed() < std::time::Duration::from_millis(3) {
-            std::thread::yield_now();
-        }
-    }
-
-    /// Early close wakes a producer parked on the full channel at once:
-    /// no wait on a poll tick between the abort and the join.
+    /// Early close returns at once: it only drops the rows not yet
+    /// delivered.
     #[test]
     fn early_close_is_prompt() {
         let (db, t) = db();
@@ -508,7 +300,6 @@ mod tests {
                     },
                 );
                 let _ = cursor.next_batch().unwrap().expect("first batch");
-                let_producer_park();
                 let start = std::time::Instant::now();
                 cursor.close();
                 start.elapsed()
@@ -522,8 +313,8 @@ mod tests {
         );
     }
 
-    /// Dropping a cursor whose producer is parked on a full channel, with
-    /// nothing drained by the caller, returns and reaps the producer.
+    /// Dropping a cursor mid-stream, with nothing more drained by the
+    /// caller, returns and releases the database.
     #[test]
     fn drop_mid_stream_reaps_producer() {
         let (db, t) = db();
@@ -534,12 +325,11 @@ mod tests {
             &plan,
             &[ColId(0)],
             CursorOptions {
-                batch_rows: 1, // 200 batches: the producer must park
+                batch_rows: 1, // 200 batches
                 ..CursorOptions::default()
             },
         );
         let _ = cursor.next_batch().unwrap().expect("first batch");
-        let_producer_park();
         assert!(!cursor.producer_finished());
         let (tx, rx) = std::sync::mpsc::channel();
         let dropper = std::thread::spawn(move || {
@@ -549,8 +339,8 @@ mod tests {
         rx.recv_timeout(std::time::Duration::from_secs(10))
             .expect("dropping a mid-stream cursor hung");
         dropper.join().unwrap();
-        // The producer held the other reference to the database; it was
-        // joined, so only ours is left.
+        // The cursor held the other reference to the database until its
+        // run started; only ours is left.
         assert_eq!(Arc::strong_count(&shared), 1);
     }
 

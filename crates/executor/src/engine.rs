@@ -1,7 +1,7 @@
 //! Public execution entry point.
 
 use crate::columnar::{cexec, ColStream};
-use crate::exec::{exec, ExecCtx, StreamSet};
+use crate::exec::{exec, ExecCtx};
 use crate::storage::{Database, Row};
 use orca_common::{ColId, OrcaError, Result};
 use orca_expr::physical::PhysicalPlan;
@@ -58,100 +58,98 @@ impl<'a> ExecEngine<'a> {
         self
     }
 
-    /// When the engine cannot spill, reject provably-oversized plans
-    /// *before* running anything ([`crate::memory::preflight`]).
-    fn preflight(&self, plan: &PhysicalPlan) -> Result<()> {
-        if self.db.cluster.can_spill {
-            return Ok(());
-        }
-        let budget = self
-            .mem
-            .as_ref()
-            .map(|m| m.operator_budget(self.db.cluster.work_mem_bytes))
-            .unwrap_or(self.db.cluster.work_mem_bytes);
-        crate::memory::preflight(plan, self.db, budget)
-    }
-
-    fn ctx(&self) -> ExecCtx<'a> {
-        let mut ctx = ExecCtx::new(self.db);
-        if let Some(m) = &self.mem {
-            ctx.mem = std::sync::Arc::clone(m);
-        }
-        ctx
-    }
-
     /// Run a plan and project its output to `output_cols` (in order).
     pub fn run(&self, plan: &PhysicalPlan, output_cols: &[ColId]) -> Result<ExecResult> {
-        self.preflight(plan)?;
-        let mut ctx = self.ctx();
-        let stream = exec(plan, &mut ctx)?;
-        let rows = project_output(&stream, output_cols)?;
-        Ok(ExecResult {
-            rows,
-            sim_seconds: stream.elapsed(),
-            stats: ctx.stats,
-        })
+        self.run_rows(plan, output_cols).map(collect)
     }
 
     /// Like [`ExecEngine::run`] but through the vectorized batch kernel
     /// ([`crate::columnar`]): identical rows, order, simulated time and
     /// counters — less per-row interpretation.
     pub fn run_columnar(&self, plan: &PhysicalPlan, output_cols: &[ColId]) -> Result<ExecResult> {
-        self.preflight(plan)?;
-        let mut ctx = self.ctx();
+        self.run_cols(plan, output_cols).map(collect)
+    }
+
+    /// Run `plan` on the row kernel. Its rows are projected as the caller
+    /// pulls them, in slot order (one copy of a replicated stream).
+    pub(crate) fn run_rows(&self, plan: &PhysicalPlan, output_cols: &[ColId]) -> Result<Run> {
+        let mut ctx = self.ctx(plan)?;
+        let stream = exec(plan, &mut ctx)?;
+        let sim_seconds = stream.elapsed();
+        let positions = output_positions(&stream.layout, output_cols)?;
+        let copies = if stream.replicated { 1 } else { usize::MAX };
+        let rows = stream.per_seg.into_iter().take(copies).flatten();
+        let rows = rows.map(move |row| positions.iter().map(|&p| row[p].clone()).collect());
+        Ok((Box::new(rows), sim_seconds, ctx.stats))
+    }
+
+    /// [`ExecEngine::run_rows`] on the columnar kernel.
+    pub(crate) fn run_cols(&self, plan: &PhysicalPlan, output_cols: &[ColId]) -> Result<Run> {
+        let mut ctx = self.ctx(plan)?;
         ctx.frag = self.fragments.clone();
         // Sliced scans draw batch shells from a run-local pool instead
         // of fresh allocations.
         ctx.pool = Some(std::sync::Arc::new(crate::parallel::BatchPool::new()));
         let stream = cexec(plan, &mut ctx)?;
-        let rows = project_output_col(&stream, output_cols)?;
-        Ok(ExecResult {
-            rows,
-            sim_seconds: stream.elapsed(),
-            stats: ctx.stats,
-        })
+        let sim_seconds = stream.elapsed();
+        Ok((project_cols(stream, output_cols)?, sim_seconds, ctx.stats))
     }
-}
 
-pub(crate) fn project_output_col(stream: &ColStream, output_cols: &[ColId]) -> Result<Vec<Row>> {
-    let positions: Vec<usize> = output_cols
-        .iter()
-        .map(|c| {
-            stream.layout.iter().position(|x| x == c).ok_or_else(|| {
-                OrcaError::Execution(format!("output column {c} missing from plan output"))
-            })
-        })
-        .collect::<Result<_>>()?;
-    let slots: &[Vec<crate::columnar::ColumnBatch>] = if stream.replicated {
-        &stream.per_seg[..1]
-    } else {
-        &stream.per_seg[..]
-    };
-    let mut out = Vec::new();
-    for batches in slots {
-        for b in batches {
-            for i in 0..b.len {
-                out.push(positions.iter().map(|&p| b.cols[p].get(i)).collect());
-            }
+    /// Per-run setup shared by both kernels. When the engine cannot
+    /// spill, provably-oversized plans are rejected *before* anything
+    /// runs ([`crate::memory::preflight`]).
+    fn ctx(&self, plan: &PhysicalPlan) -> Result<ExecCtx<'a>> {
+        if !self.db.cluster.can_spill {
+            let budget = self
+                .mem
+                .as_ref()
+                .map(|m| m.operator_budget(self.db.cluster.work_mem_bytes))
+                .unwrap_or(self.db.cluster.work_mem_bytes);
+            crate::memory::preflight(plan, self.db, budget)?;
         }
+        let mut ctx = ExecCtx::new(self.db);
+        if let Some(m) = &self.mem {
+            ctx.mem = std::sync::Arc::clone(m);
+        }
+        Ok(ctx)
     }
-    Ok(out)
 }
 
-pub(crate) fn project_output(stream: &StreamSet, output_cols: &[ColId]) -> Result<Vec<Row>> {
-    let positions: Vec<usize> = output_cols
+/// Projected rows of a finished run, produced one at a time.
+pub(crate) type Rows = Box<dyn Iterator<Item = Row> + Send>;
+
+/// A finished serial run: its rows, simulated seconds and counters.
+pub(crate) type Run = (Rows, f64, ExecStats);
+
+fn collect((rows, sim_seconds, stats): Run) -> ExecResult {
+    ExecResult {
+        rows: rows.collect(),
+        sim_seconds,
+        stats,
+    }
+}
+
+/// Project a columnar stream to `output_cols` as [`ExecEngine::run_rows`]
+/// does a row stream; each batch is freed once read.
+pub(crate) fn project_cols(stream: ColStream, output_cols: &[ColId]) -> Result<Rows> {
+    let positions = output_positions(&stream.layout, output_cols)?;
+    let copies = if stream.replicated { 1 } else { usize::MAX };
+    let batches = stream.per_seg.into_iter().take(copies).flatten();
+    Ok(Box::new(batches.flat_map(move |b| {
+        let positions = positions.clone();
+        (0..b.len).map(move |i| positions.iter().map(|&p| b.cols[p].get(i)).collect())
+    })))
+}
+
+fn output_positions(layout: &[ColId], output_cols: &[ColId]) -> Result<Vec<usize>> {
+    output_cols
         .iter()
         .map(|c| {
-            stream.layout.iter().position(|x| x == c).ok_or_else(|| {
+            layout.iter().position(|x| x == c).ok_or_else(|| {
                 OrcaError::Execution(format!("output column {c} missing from plan output"))
             })
         })
-        .collect::<Result<_>>()?;
-    Ok(stream
-        .gathered()
-        .iter()
-        .map(|row| positions.iter().map(|&p| row[p].clone()).collect())
-        .collect())
+        .collect()
 }
 
 /// Canonicalize rows for order-insensitive comparison in tests: sort by a

@@ -148,8 +148,8 @@ pub struct ExecStats {
 ///   (ConstTable rows, scalar aggregate emission, AssertOneRow) key on the
 ///   *physical* segment so an n-instance gang reproduces the serial
 ///   engine's placement exactly. The row helpers the columnar kernel
-///   borrows ([`apply_filter`], [`apply_project`], [`apply_nl_join`],
-///   [`apply_setop`]) keep their single-segment handling for it.
+///   borrows (`apply_filter`, `apply_project`, `apply_nl_join`,
+///   `apply_setop`) keep their single-segment handling for it.
 pub struct ExecCtx<'a> {
     pub db: &'a Database,
     pub cluster: &'a SegmentConfig,
@@ -347,7 +347,7 @@ pub fn op_name(op: &PhysicalOp) -> &'static str {
 /// Wraps the interpreter proper with per-operator profiling: each
 /// operator's *exclusive* wall time is `total - nested`, where `nested`
 /// is the time its children accumulated (snapshotted through
-/// [`ExecCtx::profile_child_ns`]), so a plan's profile entries sum to
+/// `ExecCtx::profile_child_ns`), so a plan's profile entries sum to
 /// roughly the query's wall time instead of multiply counting parents.
 pub fn exec(plan: &PhysicalPlan, ctx: &mut ExecCtx<'_>) -> Result<StreamSet> {
     let start = Instant::now();

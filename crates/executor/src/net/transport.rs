@@ -163,8 +163,9 @@ impl NetServer {
             .retain(|k, _| k.query != query);
     }
 
-    /// Stop accepting and wind down reader threads (graceful drain:
-    /// in-flight queries keep their established connections).
+    /// Stop accepting and wind down reader threads: each stops within one
+    /// poll interval, failing its edge with a typed [`OrcaError::Net`]
+    /// unless the edge already holds its `Eos`.
     pub fn shutdown(&self) {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
@@ -276,10 +277,14 @@ fn serve_conn(mut sock: TcpStream, inner: Arc<ServerInner>) -> Result<()> {
         .fetch_add(ack.len() as u64, Ordering::Relaxed);
 
     // Data pump. Once the slot holds its `Eos` the edge is complete: a
-    // later abort frame or EOF cannot take its data back.
+    // later abort frame, EOF or shutdown cannot take its data back.
     let mut saw_eos = false;
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
+            if !saw_eos {
+                let e = OrcaError::Net("server shut down mid-stream".into());
+                endpoint.mailbox.fail(e);
+            }
             return Ok(());
         }
         match reader.poll_frame() {
@@ -473,20 +478,19 @@ impl NetSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::{ClusterTopology, NetNode};
-    use crate::parallel::ParallelEngine;
+    use crate::columnar::ColumnBatch;
+    use crate::net::{ClusterTopology, NetNode, RESULT_MOTION};
+    use crate::parallel::{ParallelConfig, ParallelEngine};
     use crate::storage::Database;
     use orca_catalog::{ColumnMeta, Distribution, TableDesc};
     use orca_common::{ColId, DataType, Datum, MdId, SysId};
     use orca_expr::logical::TableRef;
     use orca_expr::physical::{PhysicalOp, PhysicalPlan};
 
-    /// A distributed run whose remote edges never complete (the peer
-    /// hosting three of the four segments never runs the query) idles at
-    /// the run's one wait point and returns within a millisecond of the
-    /// abort.
-    #[test]
-    fn abort_wakes_an_idle_net_receiver() {
+    /// A 4-segment table and a motionless plan over it: a coordinator
+    /// owning segment 0 runs that segment's root instance and waits for
+    /// the other three over the result motion.
+    fn scan() -> (Arc<Database>, Arc<PhysicalPlan>) {
         let mut db = Database::new(orca_common::SegmentConfig::default().with_segments(4));
         let t = Arc::new(TableDesc::new(
             MdId::new(SysId::Gpdb, 1, 1),
@@ -496,20 +500,34 @@ mod tests {
         ));
         let rows = (0..40).map(|i| vec![Datum::Int(i)]).collect();
         db.load_table(t.clone(), rows).unwrap();
-        let db = Arc::new(db);
-        // A motionless plan: the coordinator runs segment 0's root
-        // instance and waits for the other three over the result motion.
-        let plan = Arc::new(PhysicalPlan::leaf(PhysicalOp::TableScan {
+        let plan = PhysicalPlan::leaf(PhysicalOp::TableScan {
             table: TableRef(t),
             cols: vec![ColId(0)],
             parts: None,
-        }));
+        });
+        (Arc::new(db), Arc::new(plan))
+    }
+
+    /// The coordinator at peer 0 and an idle peer 1 hosting segments 1–3
+    /// that never runs the query.
+    fn two_peers() -> (Arc<NetNode>, NetNode, Arc<ClusterTopology>) {
         let coord = Arc::new(NetNode::bind("127.0.0.1:0", 0, NetConfig::default()).unwrap());
         let idle = NetNode::bind("127.0.0.1:0", 1, NetConfig::default()).unwrap();
         let topo = Arc::new(ClusterTopology {
             peers: vec![coord.addr().to_string(), idle.addr().to_string()],
             segment_peer: vec![0, 1, 1, 1],
         });
+        (coord, idle, topo)
+    }
+
+    /// A distributed run whose remote edges never complete (the peer
+    /// hosting three of the four segments never runs the query) idles at
+    /// the run's one wait point and returns within a millisecond of the
+    /// abort.
+    #[test]
+    fn abort_wakes_an_idle_net_receiver() {
+        let (db, plan) = scan();
+        let (coord, _idle, topo) = two_peers();
         let mut query = 0;
         let median = crate::test_util::median_abort_latency(|abort| {
             query += 1;
@@ -531,5 +549,59 @@ mod tests {
             })
         });
         assert!(median < Duration::from_millis(1), "median {median:?}");
+    }
+
+    /// Shutting the coordinator's server down while a remote edge is
+    /// mid-stream (its `Open` and one batch arrived, its `Eos` never will)
+    /// fails the run with a typed net error, long before its deadline.
+    #[test]
+    fn shutdown_mid_stream_fails_the_edge() {
+        let (db, plan) = scan();
+        let (coord, _idle, topo) = two_peers();
+        let cfg = ParallelConfig {
+            deadline: Some(Duration::from_secs(30)),
+            ..ParallelConfig::default()
+        };
+        let run = {
+            let coord = Arc::clone(&coord);
+            std::thread::spawn(move || {
+                let engine = ParallelEngine::with_config(&db, cfg);
+                let t0 = Instant::now();
+                let r = engine.run_distributed(&plan, &[ColId(0)], &coord, &topo, 7);
+                (r, t0.elapsed())
+            })
+        };
+        // Play segment 1's root instance on the idle peer: open the
+        // result edge and ship part of a stream.
+        let key = EndpointKey {
+            query: 7,
+            motion: RESULT_MOTION,
+            sender: 1,
+            receiver: 0,
+        };
+        let abort = AbortSignal::new();
+        let tx = NetSender::connect(
+            &coord.addr().to_string(),
+            key,
+            &NetConfig::default(),
+            &abort,
+            Arc::default(),
+            Arc::default(),
+        )
+        .unwrap();
+        let open = Msg::Open {
+            layout: vec![ColId(0)],
+            avail: 0.0,
+            bytes: 8.0,
+            replicated: false,
+        };
+        tx.send(open, &abort).unwrap();
+        let batch = ColumnBatch::from_rows(&[vec![Datum::Int(1)]], 1);
+        tx.send(Msg::Batch(batch), &abort).unwrap();
+        coord.server.shutdown();
+        let (r, took) = run.join().unwrap();
+        let err = r.expect_err("a run with a dead edge succeeded");
+        assert_eq!(err.kind(), "net", "{err}");
+        assert!(took < Duration::from_secs(10), "run took {took:?}");
     }
 }

@@ -24,7 +24,7 @@
 //! returns the root cause. Deadlines ride the same signal.
 
 use crate::columnar::{cexec, ColStream};
-use crate::engine::project_output_col;
+use crate::engine::project_cols;
 use crate::exec::{ExecCtx, ExecStats};
 use crate::net::{
     ClusterTopology, EndpointKey, NetConfig, NetMotionCounters, NetNode, NetSender, NetShared,
@@ -76,7 +76,7 @@ impl Default for ParallelConfig {
 #[derive(Debug, Clone)]
 pub struct ParallelResult {
     /// Final rows, projected to the requested output columns —
-    /// byte-identical to [`ExecEngine::run`] on the same plan.
+    /// byte-identical to [`crate::engine::ExecEngine::run`] on the same plan.
     pub rows: Vec<Row>,
     /// Kernel counters summed across all slice instances, plus the
     /// interconnect's measured wire bytes.
@@ -456,7 +456,7 @@ impl<'a> ParallelEngine<'a> {
                 combined.per_seg[s] = stream.per_seg.into_iter().next().unwrap_or_default();
             }
             sim_seconds = combined.elapsed();
-            project_output_col(&combined, output_cols)?
+            project_cols(combined, output_cols)?.collect()
         } else {
             Vec::new()
         };

@@ -5,7 +5,7 @@
 //! motions shuffle rows between slots. This module realizes the same
 //! model with actual concurrency, the way GPDB runs Orca's plans:
 //!
-//! * [`slice`] cuts a physical plan at every Motion into a DAG of
+//! * [`slice`](mod@slice) cuts a physical plan at every Motion into a DAG of
 //!   **slices**; each slice is instantiated once per segment (a *gang*),
 //!   and each instance runs the columnar kernel ([`crate::columnar`]) in
 //!   single-segment mode (see [`crate::exec::ExecCtx`]). The row
@@ -17,7 +17,7 @@
 //!   ending each slot, and a shared [`interconnect::BatchPool`]
 //!   recycling consumed batch shells.
 //! * [`spool`] materializes cross-slice CTE producers exactly once per
-//!   segment into a shared map (hoisted by [`slice`] into spool slices),
+//!   segment into a shared map (hoisted by [`slice`](mod@slice) into spool slices),
 //!   so consumer gangs read them instead of the plan falling back to
 //!   serial execution.
 //! * [`driver`] runs the slice×segment tasks as one dependency-ordered

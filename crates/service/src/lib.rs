@@ -187,8 +187,8 @@ pub struct ExecSummary {
     /// Latency to the first delivered batch (streaming serial runs only;
     /// `None` on the parallel engine, which materializes before merging).
     pub first_batch: Option<Duration>,
-    /// The first batch was delivered before the producer had finished the
-    /// full result — the cursor genuinely streamed.
+    /// More batches remained when the first was delivered — the cursor
+    /// genuinely streamed.
     pub streamed: bool,
 }
 
@@ -259,7 +259,7 @@ pub trait StreamSink {
     /// The response header, exactly once, before any rows.
     fn on_plan(&mut self, header: &PlanHeader<'_>) -> Result<()>;
     /// One batch of result rows. Return `Ok(false)` to close the stream
-    /// early: the producer stops, the request still succeeds, and the
+    /// early: the rest is dropped, the request still succeeds, and the
     /// rows delivered so far are the response.
     fn on_rows(&mut self, rows: &[Row]) -> Result<bool>;
 }
@@ -752,10 +752,9 @@ impl Service {
                 streamed: false,
             }
         } else {
-            // The serial path streams through a cursor: rows arrive batch
-            // by batch while the producer is still running, instead of one
-            // fully-materialized rowset at the end, and go straight to the
-            // sink without being buffered here.
+            // The serial path streams through a cursor: the plan runs at
+            // the first pull, then rows are projected batch by batch and go
+            // straight to the sink instead of as one rowset at the end.
             let mut cursor = Cursor::open(
                 Arc::clone(db),
                 plan,
@@ -775,19 +774,18 @@ impl Service {
                     streamed = !cursor.producer_finished();
                 }
                 if !sink.on_rows(&batch)? {
-                    // Client closed the stream: cancel the producer and
-                    // discard what it had queued. The request still counts
-                    // as executed; the summary reports what actually ran.
+                    // Client closed the stream: drop the undelivered rows.
+                    // The request still counts as executed, with the
+                    // finished run's report.
                     cursor.close();
                     break;
                 }
             }
-            let stats = match cursor.summary() {
-                Some(r) => r.stats.clone(),
-                // Early close raced the producer's abort: no final
-                // report exists, and that is fine.
-                None => ExecStats::default(),
-            };
+            let stats = cursor
+                .summary()
+                .expect("a cursor that ran reports")
+                .stats
+                .clone();
             ExecSummary {
                 rows: Vec::new(),
                 latency: t0.elapsed(),

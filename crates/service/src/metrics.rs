@@ -70,8 +70,8 @@ pub struct ServiceStats {
     pub net_connections: u64,
     /// Requests that arrived over the network front-end.
     pub net_requests: u64,
-    /// Network responses whose first row frame was written before the
-    /// producer finished (genuinely streamed to the client).
+    /// Network responses whose first row frame was written while more
+    /// remained (genuinely streamed to the client).
     pub net_streamed: u64,
     /// Streaming responses the client closed early (cursor early-close).
     pub net_early_closed: u64,

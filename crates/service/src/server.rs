@@ -18,9 +18,9 @@
 //! One connection is one session: the server opens a [`SessionId`] on
 //! accept and closes it on disconnect. Requests on a connection run
 //! sequentially through [`Service::submit_streaming`], so row batches
-//! hit the socket as the serial cursor produces them — a client can
+//! hit the socket as the serial cursor projects them — a client can
 //! consume the head of a large result while the tail is still being
-//! computed, or cancel and leave the producer to be torn down. Errors
+//! projected, or cancel and leave the rest undelivered. Errors
 //! are answers, not disconnects: a failed request emits `FRAME_ERR` and
 //! the connection stays usable for the next request.
 //!
@@ -194,7 +194,7 @@ impl StreamSink for ConnSink<'_> {
         // costs nothing, then back so the request loop's reads keep
         // waiting in the kernel (`O_NONBLOCK` lives on the shared file
         // description, so the reader's dup sees the flip too). A read
-        // error (client gone) propagates and aborts the producer.
+        // error (client gone) propagates and ends the request.
         self.sock
             .set_nonblocking(true)
             .map_err(|e| net_err("set_nonblocking failed", e))?;
@@ -481,8 +481,8 @@ pub struct ClientDone {
     /// Rows the server sent (equals the rows received unless the stream
     /// was cancelled mid-batch).
     pub rows: u64,
-    /// The first row batch was written before the producer finished —
-    /// the response genuinely streamed.
+    /// More row batches remained when the first was written — the
+    /// response genuinely streamed.
     pub streamed: bool,
     /// The stream was closed early by a client cancel.
     pub early: bool,
@@ -523,7 +523,7 @@ impl ServiceClient {
 
     /// Submit a DXL query and collect the whole streamed response.
     /// `deadline` is the server-side optimization budget (`None` = the
-    /// service default) and also bounds — plus [`CLIENT_GRACE`] — how
+    /// service default) and also bounds — plus `CLIENT_GRACE` — how
     /// long this client waits before declaring the server unresponsive.
     pub fn submit(&mut self, dxl: &str, deadline: Option<Duration>) -> Result<ClientResponse> {
         self.submit_limit(dxl, deadline, None)
