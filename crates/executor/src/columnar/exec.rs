@@ -421,8 +421,7 @@ fn cexec_op(plan: &PhysicalPlan, ctx: &mut ExecCtx<'_>) -> Result<ColStream> {
 }
 
 /// A table scan (optionally with a fused filter) through the shared
-/// fragment cache: reuse a resident fragment, attach to an in-flight
-/// cooperative scan, or lead the scan and publish it.
+/// fragment cache: reuse a resident fragment, or scan and insert it.
 ///
 /// Stats and simulated times are *replayed* exactly as the plain
 /// scan(+filter) arms would have accounted them, so an execution with
@@ -442,7 +441,7 @@ fn cexec_shared_scan(
     n: usize,
     bs: usize,
 ) -> Result<ColStream> {
-    use crate::sharing::{fragment_fingerprint, Fragment, FragmentKey, Probe};
+    use crate::sharing::{fragment_fingerprint, Fragment, FragmentKey};
     let t = ctx.db.table(table.mdid)?;
     let fingerprint = fragment_fingerprint(cols, parts, bs, pred);
     let mut out = ColStream::empty(cols.to_vec(), n);
@@ -455,13 +454,14 @@ fn cexec_shared_scan(
             fingerprint,
             segment: seg,
         };
-        let frag = match fc.begin(&key, ctx.abort.as_deref())? {
-            Probe::Ready(f) => f,
-            Probe::Lead(guard) => {
+        let frag = match fc.get(&key) {
+            Some(f) => f,
+            None => {
                 let so =
                     scan_filtered(t, seg, parts, cols, pred, bs, || ctx.take_shell(cols.len()))?;
                 ctx.stats.scan_bytes_cloned += so.bytes_cloned;
-                guard.publish(
+                fc.insert(
+                    &key,
                     Fragment::new(so.batches, so.scan_rows, so.scan_batches)
                         .with_skips(so.chunks_skipped, so.dict_hits),
                 )

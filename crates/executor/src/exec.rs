@@ -166,7 +166,7 @@ pub struct ExecCtx<'a> {
     pub abort: Option<Arc<AbortSignal>>,
     /// Cross-query fragment cache ([`crate::sharing`]). `None` (the
     /// default) keeps every scan independent — the batch kernel only
-    /// probes/publishes fragments when a cache is attached.
+    /// probes/inserts fragments when a cache is attached.
     pub frag: Option<Arc<crate::sharing::FragmentCache>>,
     /// Nanoseconds attributed to child operators of the operator currently
     /// executing — the bookkeeping behind exclusive-time profiling.
@@ -243,13 +243,13 @@ impl<'a> ExecCtx<'a> {
         budget
     }
 
-    /// Record `bytes` of resident operator state: the stats high-water
-    /// mark plus a bracketed reserve/release on the query tracker (and
-    /// through it the process budget).
+    /// Record `bytes` of transient operator state: the stats high-water
+    /// mark, and the process counter's peak when the query has one.
     pub(crate) fn note_state(&mut self, bytes: u64) {
         self.stats.peak_mem_bytes = self.stats.peak_mem_bytes.max(bytes);
-        self.mem.reserve(bytes);
-        self.mem.release(bytes);
+        if let Some(p) = self.mem.process() {
+            p.note_peak(bytes);
+        }
     }
 
     /// Fold one spilling operator's counters into the run's stats.

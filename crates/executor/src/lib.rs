@@ -30,8 +30,8 @@
 //!   row). It serves as the correctness oracle for every physical plan and
 //!   doubles as the execution model of engines without decorrelation.
 //! * [`sharing`] — cross-query work sharing: a byte-budgeted shared
-//!   fragment cache with cooperative scans, keyed on (table name, table
-//!   version, interned predicate/projection fingerprint, segment).
+//!   fragment cache of scan results, keyed on (table name, table
+//!   version, predicate/projection fingerprint, segment).
 //! * [`codec`] — the self-delimiting columnar batch codec shared by
 //!   spill files and the network wire format.
 //! * [`net`] — the socket interconnect: a length-prefixed frame codec
@@ -57,7 +57,7 @@ pub mod storage;
 pub use columnar::{ColStream, Column, ColumnBatch};
 pub use cursor::{Cursor, CursorOptions};
 pub use engine::{ExecEngine, ExecResult, ExecStats};
-pub use memory::{preflight, MemoryBudget, MemoryTracker};
+pub use memory::{preflight, MemoryTracker};
 pub use net::{ClusterTopology, NetConfig, NetNode, NetStats};
 pub use parallel::{ParallelConfig, ParallelEngine, ParallelStats};
 pub use sharing::{FragmentCache, FragmentCacheStats, FragmentKey};

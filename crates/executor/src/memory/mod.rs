@@ -1,20 +1,20 @@
-//! Memory governance: process-wide budget, per-query grants, preflight.
+//! Memory governance: per-query grants and preflight.
 //!
 //! Orca (§2.1) targets MPP engines whose operators run under fixed
 //! per-segment memory budgets. This module makes `work_mem_bytes` a real
 //! constraint instead of cost-model fiction:
 //!
-//! * [`MemoryBudget`] — one process-wide accounting domain shared by
-//!   live queries, the cross-query fragment cache ([`crate::sharing`])
-//!   and parallel CTE spools ([`crate::parallel`]). Charging never
-//!   blocks (enforcement is the grant broker's job in `orca-service`);
-//!   the budget records usage and high-water marks so occupancy is
-//!   observable from one place.
 //! * [`MemoryTracker`] — one per query, shared by every gang worker of
-//!   a parallel run. Carries the query's per-segment grant: the
-//!   effective operator budget is `min(work_mem_bytes, grant)`, so a
-//!   degraded (smaller) grant from the broker forces earlier spilling
-//!   without touching cluster config.
+//!   a parallel run. Carries the query's grant: the effective operator
+//!   budget is `min(work_mem_bytes, grant / segments)`, so a degraded
+//!   (smaller) grant from the broker forces earlier spilling without
+//!   touching cluster config. It also carries the process-wide
+//!   [`MemTracker`] that operator state peaks, cached fragments
+//!   ([`crate::sharing`]) and parallel CTE spools ([`crate::parallel`])
+//!   are counted in. Counting never blocks and never fails: admission
+//!   happens before a query starts (the service's grant broker), not in
+//!   the middle of an operator, which keeps the executor deadlock-free
+//!   by construction.
 //! * [`preflight`] — a plan walk that raises a typed
 //!   [`OrcaError::OutOfMemory`] *before* execution starts when a
 //!   hash/NL-join build side provably cannot fit and the engine cannot
@@ -23,143 +23,60 @@
 
 use orca_common::{OrcaError, Result};
 use orca_expr::physical::{MotionKind, PhysicalOp, PhysicalPlan};
+use orca_gpos::MemTracker;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-/// Process-wide memory accounting domain. Pure bookkeeping: `charge`
-/// never blocks and never fails — admission control happens before a
-/// query starts (the service's grant broker), not in the middle of an
-/// operator, which keeps the executor deadlock-free by construction.
-#[derive(Debug, Default)]
-pub struct MemoryBudget {
-    /// Budget ceiling in bytes; `0` = unbounded (accounting only).
-    limit: u64,
-    used: AtomicU64,
-    peak: AtomicU64,
-}
-
-impl MemoryBudget {
-    pub fn new(limit: u64) -> MemoryBudget {
-        MemoryBudget {
-            limit,
-            used: AtomicU64::new(0),
-            peak: AtomicU64::new(0),
-        }
-    }
-
-    /// Accounting-only (unbounded) domain.
-    pub fn unbounded() -> MemoryBudget {
-        MemoryBudget::new(0)
-    }
-
-    pub fn limit(&self) -> u64 {
-        self.limit
-    }
-
-    /// Record `bytes` as resident. Returns `false` when the charge takes
-    /// the domain over its limit — callers treat that as a pressure
-    /// signal (spill earlier, shed cache entries), never as an error.
-    pub fn charge(&self, bytes: u64) -> bool {
-        let now = self.used.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak.fetch_max(now, Ordering::Relaxed);
-        self.limit == 0 || now <= self.limit
-    }
-
-    pub fn uncharge(&self, bytes: u64) {
-        // Saturating: a release can race a concurrent snapshot but must
-        // never wrap below zero.
-        let mut cur = self.used.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(bytes);
-            match self
-                .used
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(c) => cur = c,
-            }
-        }
-    }
-
-    pub fn used_bytes(&self) -> u64 {
-        self.used.load(Ordering::Relaxed)
-    }
-
-    pub fn peak_bytes(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed)
-    }
-}
-
-/// A one-shot renegotiation callback installed by the grant broker:
-/// returns the query's new *total* grant in bytes, or 0 when the pool
-/// had nothing to give.
+/// A one-shot renegotiation callback installed by the grant broker: it
+/// grows the query's grant cell and returns the new *total* grant in
+/// bytes, or 0 when the pool had nothing to give.
 pub type RegrantFn = Box<dyn Fn() -> u64 + Send + Sync>;
 
 /// Per-query grant accounting, shared (via `Arc`) by every kernel
 /// instance of one query — the serial interpreter or all gang workers
-/// of a parallel run. Operator state (hash-join build, aggregate
-/// groups, sort buffer) is reserved here while resident and released
-/// when the operator finishes, charging through to the process budget
-/// when one is attached.
+/// of a parallel run.
 #[derive(Default)]
 pub struct MemoryTracker {
-    /// Per-segment grant in bytes; `None` = ungoverned (operator budget
-    /// falls back to `work_mem_bytes` alone). Atomic so a mid-query
-    /// renegotiation can raise it under every gang worker's feet.
-    per_seg_grant: Option<AtomicU64>,
-    /// Total grant held for this query (released by the broker, not us).
-    granted: AtomicU64,
+    /// The query's total grant in bytes, one cell shared with the
+    /// broker's grant (a renegotiation grows it under every gang
+    /// worker's feet); `None` = ungoverned (operator budget falls back to
+    /// `work_mem_bytes` alone).
+    grant: Option<Arc<AtomicU64>>,
     num_segments: usize,
-    budget: Option<Arc<MemoryBudget>>,
-    used: AtomicU64,
-    peak: AtomicU64,
+    /// The process-wide executor-memory counter, if any.
+    process: Option<Arc<MemTracker>>,
     /// One-shot upward renegotiation of a degraded grant, consumed at
     /// the first would-spill moment (see [`MemoryTracker::try_regrant`]).
-    regrant: std::sync::Mutex<Option<RegrantFn>>,
+    regrant: Mutex<Option<RegrantFn>>,
 }
 
 impl std::fmt::Debug for MemoryTracker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoryTracker")
-            .field("per_seg_grant", &self.per_seg_grant)
-            .field("granted", &self.granted)
-            .field("used", &self.used)
-            .field("peak", &self.peak)
-            .field(
-                "regrant",
-                &self.regrant.lock().unwrap().as_ref().map(|_| "<hook>"),
-            )
-            .finish()
+            .field("grant", &self.grant)
+            .field("num_segments", &self.num_segments)
+            .finish_non_exhaustive()
     }
 }
 
 impl MemoryTracker {
-    /// Ungoverned tracker: accounting only, no grant ceiling.
+    /// Ungoverned tracker: no grant ceiling, no process counter.
     pub fn unbounded() -> MemoryTracker {
         MemoryTracker::default()
     }
 
-    /// Tracker for a brokered grant of `granted` bytes split evenly
-    /// across `num_segments`, charging through to `budget`.
+    /// Tracker for a brokered grant, whose current size lives in
+    /// `grant`, split evenly across `num_segments`, counting into
+    /// `process`.
     pub fn granted(
-        granted: u64,
+        grant: Arc<AtomicU64>,
         num_segments: usize,
-        budget: Option<Arc<MemoryBudget>>,
+        process: Option<Arc<MemTracker>>,
     ) -> MemoryTracker {
-        let per_seg = (granted / num_segments.max(1) as u64).max(1);
         MemoryTracker {
-            per_seg_grant: Some(AtomicU64::new(per_seg)),
-            granted: AtomicU64::new(granted),
+            grant: Some(grant),
             num_segments,
-            budget,
-            ..MemoryTracker::default()
-        }
-    }
-
-    /// Attach a process budget without imposing a grant ceiling.
-    pub fn with_budget(budget: Arc<MemoryBudget>) -> MemoryTracker {
-        MemoryTracker {
-            budget: Some(budget),
+            process,
             ..MemoryTracker::default()
         }
     }
@@ -169,19 +86,18 @@ impl MemoryTracker {
     /// grant lowers this below `work_mem`, forcing operators to spill
     /// earlier — the broker's "smaller grant ⇒ forced spill" ladder.
     pub fn operator_budget(&self, work_mem_bytes: u64) -> u64 {
-        match &self.per_seg_grant {
-            Some(g) => g.load(Ordering::Relaxed).min(work_mem_bytes),
+        match &self.grant {
+            Some(g) => {
+                let per_seg = g.load(Ordering::Relaxed) / self.num_segments.max(1) as u64;
+                per_seg.max(1).min(work_mem_bytes)
+            }
             None => work_mem_bytes,
         }
     }
 
-    pub fn granted_bytes(&self) -> u64 {
-        self.granted.load(Ordering::Relaxed)
-    }
-
     /// Install the degraded grant's one-shot renegotiation callback.
     pub fn set_regrant(&self, hook: RegrantFn) {
-        *self.regrant.lock().unwrap() = Some(hook);
+        *self.regrant.lock().expect("regrant lock poisoned") = Some(hook);
     }
 
     /// Renegotiate the grant upward, once, at the first would-spill
@@ -190,59 +106,13 @@ impl MemoryTracker {
     /// when the grant actually grew (the caller should re-read its
     /// operator budget and may be able to skip the spill).
     pub fn try_regrant(&self) -> bool {
-        let Some(hook) = self.regrant.lock().unwrap().take() else {
-            return false;
-        };
-        let new_total = hook();
-        let old = self.granted.load(Ordering::Relaxed);
-        if new_total <= old {
-            return false;
-        }
-        self.granted.store(new_total, Ordering::Relaxed);
-        if let Some(g) = &self.per_seg_grant {
-            let per_seg = (new_total / self.num_segments.max(1) as u64).max(1);
-            g.store(per_seg, Ordering::Relaxed);
-        }
-        true
+        let hook = self.regrant.lock().expect("regrant lock poisoned").take();
+        hook.is_some_and(|hook| hook() != 0)
     }
 
-    /// Reserve `bytes` of operator state.
-    pub fn reserve(&self, bytes: u64) {
-        let now = self.used.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak.fetch_max(now, Ordering::Relaxed);
-        if let Some(b) = &self.budget {
-            b.charge(bytes);
-        }
-    }
-
-    pub fn release(&self, bytes: u64) {
-        let mut cur = self.used.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(bytes);
-            match self
-                .used
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
-        }
-        if let Some(b) = &self.budget {
-            b.uncharge(bytes);
-        }
-    }
-
-    pub fn used_bytes(&self) -> u64 {
-        self.used.load(Ordering::Relaxed)
-    }
-
-    pub fn peak_bytes(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed)
-    }
-
-    /// The process-wide domain this tracker charges into, if any.
-    pub fn budget(&self) -> Option<Arc<MemoryBudget>> {
-        self.budget.clone()
+    /// The process-wide counter this query's memory is counted in, if any.
+    pub fn process(&self) -> Option<&Arc<MemTracker>> {
+        self.process.as_ref()
     }
 }
 
@@ -376,52 +246,42 @@ pub fn preflight(plan: &PhysicalPlan, db: &crate::storage::Database, budget: u64
 mod tests {
     use super::*;
 
-    #[test]
-    fn budget_charges_and_peaks() {
-        let b = MemoryBudget::new(100);
-        assert!(b.charge(60));
-        assert!(!b.charge(60));
-        assert_eq!(b.used_bytes(), 120);
-        assert_eq!(b.peak_bytes(), 120);
-        b.uncharge(120);
-        assert_eq!(b.used_bytes(), 0);
-        assert_eq!(b.peak_bytes(), 120);
-        // Saturates instead of wrapping.
-        b.uncharge(50);
-        assert_eq!(b.used_bytes(), 0);
+    fn cell(bytes: u64) -> Arc<AtomicU64> {
+        Arc::new(AtomicU64::new(bytes))
     }
 
     #[test]
     fn tracker_grant_tightens_operator_budget() {
         let t = MemoryTracker::unbounded();
         assert_eq!(t.operator_budget(1 << 20), 1 << 20);
-        let budget = Arc::new(MemoryBudget::new(1 << 30));
-        let t = MemoryTracker::granted(8 << 10, 8, Some(Arc::clone(&budget)));
+        let process = Arc::new(MemTracker::new());
+        let t = MemoryTracker::granted(cell(8 << 10), 8, Some(Arc::clone(&process)));
         // 8 KiB over 8 segments = 1 KiB per segment, tighter than work_mem.
         assert_eq!(t.operator_budget(1 << 20), 1 << 10);
-        t.reserve(512);
-        assert_eq!(t.used_bytes(), 512);
-        assert_eq!(budget.used_bytes(), 512);
-        t.release(512);
-        assert_eq!(t.used_bytes(), 0);
-        assert_eq!(budget.used_bytes(), 0);
-        assert_eq!(t.peak_bytes(), 512);
+        // Transient operator state raises the process peak, not its
+        // current use.
+        t.process().unwrap().note_peak(512);
+        assert_eq!(process.current(), 0);
+        assert_eq!(process.peak(), 512);
     }
 
     #[test]
     fn regrant_is_one_shot_and_raises_the_operator_budget() {
-        let t = MemoryTracker::granted(8 << 10, 8, None);
+        let grant = cell(8 << 10);
+        let t = MemoryTracker::granted(Arc::clone(&grant), 8, None);
         assert_eq!(t.operator_budget(1 << 20), 1 << 10);
         // No hook installed: nothing to renegotiate.
         assert!(!t.try_regrant());
         let calls = Arc::new(AtomicU64::new(0));
-        let c = Arc::clone(&calls);
+        let (c, g) = (Arc::clone(&calls), Arc::clone(&grant));
         t.set_regrant(Box::new(move || {
             c.fetch_add(1, Ordering::Relaxed);
+            // The broker grows the shared grant cell.
+            g.store(64 << 10, Ordering::Relaxed);
             64 << 10
         }));
         assert!(t.try_regrant());
-        assert_eq!(t.granted_bytes(), 64 << 10);
+        assert_eq!(grant.load(Ordering::Relaxed), 64 << 10);
         assert_eq!(t.operator_budget(1 << 20), 8 << 10);
         // The hook is consumed: a second would-spill site gets nothing.
         assert!(!t.try_regrant());
@@ -430,10 +290,11 @@ mod tests {
 
     #[test]
     fn failed_regrant_leaves_the_grant_alone() {
-        let t = MemoryTracker::granted(8 << 10, 8, None);
+        let grant = cell(8 << 10);
+        let t = MemoryTracker::granted(Arc::clone(&grant), 8, None);
         t.set_regrant(Box::new(|| 0));
         assert!(!t.try_regrant());
-        assert_eq!(t.granted_bytes(), 8 << 10);
+        assert_eq!(grant.load(Ordering::Relaxed), 8 << 10);
         assert!(!t.try_regrant(), "hook consumed even on failure");
     }
 }

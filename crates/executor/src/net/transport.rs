@@ -33,6 +33,10 @@ fn net_err(what: &str, e: std::io::Error) -> OrcaError {
     OrcaError::Net(format!("{what}: {e}"))
 }
 
+fn shut_down() -> OrcaError {
+    OrcaError::Net("server shut down".into())
+}
+
 fn configure(sock: &TcpStream) -> Result<()> {
     sock.set_nodelay(true).map_err(|e| net_err("nodelay", e))?;
     sock.set_read_timeout(Some(POLL))
@@ -113,7 +117,9 @@ impl NetServer {
     }
 
     /// Register an expected inbound edge: once the sending peer
-    /// connects, its messages land in slot `sender` of `mailbox`.
+    /// connects, its messages land in slot `sender` of `mailbox`. After
+    /// [`NetServer::shutdown`] no peer can connect, so the edge fails at
+    /// once.
     pub fn expect(
         &self,
         key: EndpointKey,
@@ -128,7 +134,16 @@ impl NetServer {
             counters,
             shared,
         };
-        self.inner.registry.lock().unwrap().insert(key, endpoint);
+        let mut registry = self.inner.registry.lock().expect("net registry poisoned");
+        // Checked under the registry lock, which `shutdown` drains after
+        // setting the flag: an edge is either drained or failed here.
+        if self.inner.shutdown.load(Ordering::SeqCst) {
+            drop(registry);
+            endpoint.mailbox.fail(shut_down());
+            return;
+        }
+        registry.insert(key, endpoint);
+        drop(registry);
         self.inner.registered.notify_all();
     }
 
@@ -165,13 +180,20 @@ impl NetServer {
 
     /// Stop accepting and wind down reader threads: each stops within one
     /// poll interval, failing its edge with a typed [`OrcaError::Net`]
-    /// unless the edge already holds its `Eos`.
+    /// unless the edge already holds its `Eos`. Edges registered but not
+    /// yet connected fail at once.
     pub fn shutdown(&self) {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
+        let pending: Vec<Endpoint> = {
+            let mut registry = self.inner.registry.lock().expect("net registry poisoned");
+            registry.drain().map(|(_, e)| e).collect()
+        };
+        for e in pending {
+            e.mailbox.fail(shut_down());
+        }
         // Wake connections parked in the rendezvous, then the acceptor.
-        drop(self.inner.registry.lock());
         self.inner.registered.notify_all();
         wake_accept(self.local_addr);
     }
@@ -250,7 +272,7 @@ fn serve_conn(mut sock: TcpStream, inner: Arc<ServerInner>) -> Result<()> {
                 break e;
             }
             if inner.shutdown.load(Ordering::SeqCst) {
-                return Err(OrcaError::Net("server shut down".into()));
+                return Err(shut_down());
             }
             registry = wait_until(&inner.registered, registry, Some(deadline))
                 .map_err(|_| OrcaError::Net(format!("no local endpoint registered for {key:?}")))?;
@@ -549,6 +571,50 @@ mod tests {
             })
         });
         assert!(median < Duration::from_millis(1), "median {median:?}");
+    }
+
+    /// Shutting the coordinator's server down while its remote edges are
+    /// registered but no sender has connected fails the run with a typed
+    /// net error, long before its deadline; a run started after the
+    /// shutdown fails at once.
+    #[test]
+    fn shutdown_fails_edges_not_yet_connected() {
+        let (db, plan) = scan();
+        let (coord, _idle, topo) = two_peers();
+        let cfg = ParallelConfig {
+            deadline: Some(Duration::from_secs(30)),
+            ..ParallelConfig::default()
+        };
+        let run = |query| {
+            let (db, plan, coord, topo) = (
+                Arc::clone(&db),
+                Arc::clone(&plan),
+                Arc::clone(&coord),
+                Arc::clone(&topo),
+            );
+            let cfg = cfg.clone();
+            std::thread::spawn(move || {
+                let engine = ParallelEngine::with_config(&db, cfg);
+                let t0 = Instant::now();
+                let r = engine.run_distributed(&plan, &[ColId(0)], &coord, &topo, query);
+                (r, t0.elapsed())
+            })
+        };
+        let first = run(7);
+        // Wait until the run has registered its inbound edges.
+        let t0 = Instant::now();
+        while coord.server.inner.registry.lock().unwrap().is_empty() {
+            assert!(t0.elapsed() < Duration::from_secs(10), "no edge registered");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        coord.server.shutdown();
+        for r in [first, run(8)] {
+            let (r, took) = r.join().unwrap();
+            let err = r.expect_err("a run with an unconnected edge succeeded");
+            assert_eq!(err.kind(), "net", "{err}");
+            assert!(took < Duration::from_secs(10), "run took {took:?}");
+        }
+        assert!(coord.server.inner.registry.lock().unwrap().is_empty());
     }
 
     /// Shutting the coordinator's server down while a remote edge is

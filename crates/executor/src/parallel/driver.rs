@@ -115,7 +115,7 @@ impl<'a> ParallelEngine<'a> {
         }
     }
 
-    /// Attach a shared fragment cache; slice kernels probe and publish
+    /// Attach a shared fragment cache; slice kernels probe and insert
     /// scan fragments through it.
     pub fn with_fragments(
         mut self,
@@ -395,12 +395,9 @@ impl<'a> ParallelEngine<'a> {
             batch_rows: self.cfg.batch_rows,
             abort,
             pool: Arc::new(BatchPool::new()),
-            // Spooled CTE bytes count against the process-wide budget (if
-            // the grant carries one) for the duration of the run.
-            spool: match self.mem.as_ref().and_then(|m| m.budget()) {
-                Some(b) => SharedSpool::new().with_budget(b),
-                None => SharedSpool::new(),
-            },
+            // Spooled CTE bytes count in the process-wide counter (if the
+            // grant carries one) for the duration of the run.
+            spool: SharedSpool::new(self.mem.as_ref().and_then(|m| m.process().cloned())),
             frag: &self.fragments,
             mem: &self.mem,
             counters: sliced

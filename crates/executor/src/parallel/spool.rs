@@ -8,6 +8,7 @@
 
 use crate::columnar::{ColStream, ColumnBatch};
 use orca_common::{ColId, CteId};
+use orca_gpos::MemTracker;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -50,8 +51,8 @@ impl SpoolPayload {
         self.batches.iter().map(|b| b.len as u64).sum()
     }
 
-    /// Payload size in datum bytes ([`ColumnBatch::bytes`] sums) — what a
-    /// process-wide memory budget is charged for holding it.
+    /// Payload size in datum bytes ([`ColumnBatch::bytes`] sums) — what
+    /// the process-wide memory counter records for holding it.
     pub fn bytes(&self) -> u64 {
         self.batches.iter().map(ColumnBatch::bytes).sum()
     }
@@ -60,33 +61,32 @@ impl SpoolPayload {
 /// The per-run spool: a map from `(cte, segment)` to the published
 /// payload. One instance lives for the duration of one parallel run,
 /// shared by every worker thread.
-#[derive(Default)]
 pub struct SharedSpool {
     slots: Mutex<HashMap<(CteId, usize), Arc<SpoolPayload>>>,
     rows: AtomicU64,
-    /// Process-wide executor memory budget ([`crate::memory`]); spooled
-    /// CTE bytes are charged for the spool's lifetime.
-    budget: Option<Arc<crate::memory::MemoryBudget>>,
+    /// Process-wide executor memory counter ([`crate::memory`]); spooled
+    /// CTE bytes are counted for the spool's lifetime.
+    process: Option<Arc<MemTracker>>,
     charged: AtomicU64,
 }
 
 impl SharedSpool {
-    pub fn new() -> SharedSpool {
-        SharedSpool::default()
-    }
-
-    /// Charge published payload bytes against a process-wide budget.
-    pub fn with_budget(mut self, budget: Arc<crate::memory::MemoryBudget>) -> SharedSpool {
-        self.budget = Some(budget);
-        self
+    /// An empty spool counting its payload bytes in `process`, if given.
+    pub fn new(process: Option<Arc<MemTracker>>) -> SharedSpool {
+        SharedSpool {
+            slots: Mutex::default(),
+            rows: AtomicU64::new(0),
+            process,
+            charged: AtomicU64::new(0),
+        }
     }
 
     /// Publish one segment's payload.
     pub fn publish(&self, id: CteId, seg: usize, payload: SpoolPayload) {
         self.rows.fetch_add(payload.rows(), Ordering::Relaxed);
-        if let Some(b) = &self.budget {
+        if let Some(p) = &self.process {
             let bytes = payload.bytes();
-            b.charge(bytes);
+            p.add(bytes);
             self.charged.fetch_add(bytes, Ordering::Relaxed);
         }
         self.slots
@@ -110,8 +110,8 @@ impl Drop for SharedSpool {
     fn drop(&mut self) {
         // The spool lives for one parallel run; return its bytes when the
         // run ends.
-        if let Some(b) = &self.budget {
-            b.uncharge(self.charged.load(Ordering::Relaxed));
+        if let Some(p) = &self.process {
+            p.sub(self.charged.load(Ordering::Relaxed));
         }
     }
 }
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn publish_then_wait_round_trips() {
-        let spool = SharedSpool::new();
+        let spool = SharedSpool::new(None);
         let cs = ColStream {
             layout: vec![ColId(3)],
             per_seg: vec![vec![ColumnBatch::from_rows(

@@ -1,41 +1,34 @@
 //! Cross-query work sharing: the byte-budgeted shared fragment cache.
 //!
-//! Concurrently admitted queries that scan the same table fragment —
-//! same table *name and version*, same projection/pruning/predicate
-//! fingerprint, same segment — should read storage once. The cache keys
+//! Queries that scan the same table fragment — same table *name and
+//! version*, same projection/pruning/predicate fingerprint, same
+//! segment — should read storage once. The cache keys
 //! fragments on [`FragmentKey`], whose [`fragment_fingerprint`] hashes
 //! the fused filter predicate itself, so structurally equal predicates
 //! from different sessions land on one entry.
 //!
-//! **Cooperative scans.** A probe that misses installs a `Filling` slot
-//! and returns [`Probe::Lead`]: the caller performs the scan and
-//! publishes the result. A probe that finds `Filling` waits on a condvar
-//! and attaches to the leader's result when it lands — the scan happens
-//! once no matter how many queries race to it. A leader can never block
-//! between installing `Filling` and publishing (the scan is pure
-//! in-memory compute), so waiters always make progress; if the leader
-//! errors or unwinds, its guard removes the slot and wakes the waiters,
-//! and the first of them takes over the lead. The wait needs no abort
-//! waker: a cancelled follower waits out at most one leader scan, then
-//! sees its abort.
+//! **Lookup.** A probe that hits reuses the resident fragment. A miss
+//! scans and inserts. Two queries that miss the same key at once both
+//! scan; the second insert finds the key resident, keeps the resident
+//! fragment, returns it, and charges nothing twice.
 //!
 //! **Invalidation** rides the versioned `MdId` machinery: the version is
 //! part of the key, so a bumped table simply never matches, and
-//! publishing a fragment purges every `Ready` entry of the same table at
-//! a *different* version (counted as an invalidation).
+//! inserting a fragment purges every entry of the same table at a
+//! *different* version (counted as an invalidation).
 //!
 //! **Budget.** Entries are evicted LRU (by probe tick) whenever the
-//! resident byte total exceeds the budget; `Filling` slots and the
-//! just-published entry are never evicted.
+//! resident byte total exceeds the budget; the just-inserted entry is
+//! never evicted.
 
 use crate::columnar::ColumnBatch;
 use orca_common::hash::fnv_hash;
-use orca_common::{ColId, Result};
+use orca_common::ColId;
 use orca_expr::scalar::ScalarExpr;
-use orca_gpos::AbortSignal;
+use orca_gpos::MemTracker;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Identity of one cached scan fragment.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -75,7 +68,7 @@ pub struct Fragment {
     pub scan_rows: u64,
     /// Batches the raw scan produced (profile accounting on replay).
     pub scan_batches: u64,
-    /// Chunks the leader's scan dropped via zone maps / dictionary
+    /// Chunks the scan dropped via zone maps / dictionary
     /// misses, and dict-conjunct evaluations it ran in code space —
     /// replayed into `ExecStats` on every reuse, since a cache hit
     /// stands for the same pruned scan.
@@ -110,13 +103,8 @@ impl Fragment {
     }
 }
 
-enum SlotState {
-    Filling,
-    Ready(Arc<Fragment>),
-}
-
 struct Slot {
-    state: SlotState,
+    frag: Arc<Fragment>,
     last_used: u64,
 }
 
@@ -130,42 +118,28 @@ struct Inner {
 /// Counter snapshot for stats surfaces.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FragmentCacheStats {
-    /// Probes served from an already-`Ready` fragment.
+    /// Probes served from a resident fragment.
     pub reused: u64,
-    /// Fragments published by scan leaders.
+    /// Fragments inserted after a miss.
     pub inserted: u64,
-    /// Probes that attached to an in-flight cooperative scan.
-    pub coop_attached: u64,
     pub evictions: u64,
-    /// Stale-version entries purged when a newer version published.
+    /// Stale-version entries purged when a newer version was inserted.
     pub invalidations: u64,
     /// Resident bytes / entries right now.
     pub bytes: u64,
     pub entries: u64,
 }
 
-/// Result of [`FragmentCache::begin`].
-pub enum Probe<'a> {
-    /// The fragment is resident: reuse it.
-    Ready(Arc<Fragment>),
-    /// This caller leads the scan: do the work, then
-    /// [`LeadGuard::publish`] it.
-    Lead(LeadGuard<'a>),
-}
-
 /// The shared cache. One instance typically lives on the serving layer
 /// and is attached to every engine it constructs.
 pub struct FragmentCache {
     inner: Mutex<Inner>,
-    ready: Condvar,
     budget: u64,
-    /// Process-wide executor memory budget ([`crate::memory`]); resident
-    /// fragment bytes are charged against it so cached fragments compete
-    /// with query operator state for the same pool.
-    process: Option<Arc<crate::memory::MemoryBudget>>,
+    /// Process-wide executor memory counter ([`crate::memory`]); resident
+    /// fragment bytes are counted there too, beside query operator state.
+    process: Option<Arc<MemTracker>>,
     reused: AtomicU64,
     inserted: AtomicU64,
-    coop_attached: AtomicU64,
     evictions: AtomicU64,
     invalidations: AtomicU64,
 }
@@ -174,102 +148,44 @@ impl FragmentCache {
     pub fn new(budget_bytes: u64) -> FragmentCache {
         FragmentCache {
             inner: Mutex::new(Inner::default()),
-            ready: Condvar::new(),
             budget: budget_bytes,
             process: None,
             reused: AtomicU64::new(0),
             inserted: AtomicU64::new(0),
-            coop_attached: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
         }
     }
 
-    /// Charge resident fragment bytes against a process-wide budget (in
+    /// Count resident fragment bytes in a process-wide counter (in
     /// addition to this cache's own byte budget).
-    pub fn with_process_budget(
-        mut self,
-        budget: Arc<crate::memory::MemoryBudget>,
-    ) -> FragmentCache {
-        self.process = Some(budget);
+    pub fn with_process_budget(mut self, process: Arc<MemTracker>) -> FragmentCache {
+        self.process = Some(process);
         self
     }
 
-    /// Probe for `key`: reuse a resident fragment, attach to an
-    /// in-flight scan, or take the lead.
-    pub fn begin(&self, key: &FragmentKey, abort: Option<&AbortSignal>) -> Result<Probe<'_>> {
-        enum Found {
-            Ready(Arc<Fragment>),
-            Filling,
-            Missing,
-        }
-        let mut inner = self.inner.lock().unwrap();
-        let mut waited = false;
-        loop {
-            if let Some(a) = abort {
-                a.check()?;
-            }
-            inner.tick += 1;
-            let tick = inner.tick;
-            let found = match inner.map.get_mut(key) {
-                Some(slot) => match &slot.state {
-                    SlotState::Ready(f) => {
-                        slot.last_used = tick;
-                        Found::Ready(Arc::clone(f))
-                    }
-                    SlotState::Filling => Found::Filling,
-                },
-                None => Found::Missing,
-            };
-            match found {
-                Found::Ready(f) => {
-                    if waited {
-                        self.coop_attached.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        self.reused.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(Probe::Ready(f));
-                }
-                Found::Filling => {
-                    waited = true;
-                    inner = self.ready.wait(inner).unwrap();
-                }
-                Found::Missing => {
-                    inner.map.insert(
-                        key.clone(),
-                        Slot {
-                            state: SlotState::Filling,
-                            last_used: tick,
-                        },
-                    );
-                    return Ok(Probe::Lead(LeadGuard {
-                        cache: self,
-                        key: key.clone(),
-                        published: false,
-                    }));
-                }
-            }
-        }
-    }
-
-    pub fn stats(&self) -> FragmentCacheStats {
-        let inner = self.inner.lock().unwrap();
-        FragmentCacheStats {
-            reused: self.reused.load(Ordering::Relaxed),
-            inserted: self.inserted.load(Ordering::Relaxed),
-            coop_attached: self.coop_attached.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            bytes: inner.bytes,
-            entries: inner.map.len() as u64,
-        }
-    }
-
-    fn install(&self, key: &FragmentKey, frag: Fragment) -> Arc<Fragment> {
-        let frag = Arc::new(frag);
-        let mut inner = self.inner.lock().unwrap();
+    /// The resident fragment for `key`, if any.
+    pub fn get(&self, key: &FragmentKey) -> Option<Arc<Fragment>> {
+        let mut inner = self.inner.lock().expect("fragment cache lock poisoned");
         inner.tick += 1;
         let tick = inner.tick;
+        let slot = inner.map.get_mut(key)?;
+        slot.last_used = tick;
+        self.reused.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(&slot.frag))
+    }
+
+    /// Make `frag` resident under `key` and return the shared handle. If
+    /// a racing scan already inserted `key`, the resident fragment is
+    /// kept and returned instead, and nothing is charged twice.
+    pub fn insert(&self, key: &FragmentKey, frag: Fragment) -> Arc<Fragment> {
+        let mut inner = self.inner.lock().expect("fragment cache lock poisoned");
+        inner.tick += 1;
+        let tick = inner.tick;
+        if let Some(slot) = inner.map.get_mut(key) {
+            slot.last_used = tick;
+            return Arc::clone(&slot.frag);
+        }
         // A newer version of this table landing means every other
         // version's fragments are stale: purge them.
         let stale: Vec<FragmentKey> = inner
@@ -279,78 +195,63 @@ impl FragmentCache {
             .cloned()
             .collect();
         for k in stale {
-            // Only purge resident entries; an in-flight Filling slot
-            // belongs to its leader until published or abandoned.
-            let is_ready = matches!(
-                inner.map.get(&k).map(|s| &s.state),
-                Some(SlotState::Ready(_))
-            );
-            if is_ready {
-                if let Some(Slot {
-                    state: SlotState::Ready(f),
-                    ..
-                }) = inner.map.remove(&k)
-                {
-                    inner.bytes -= f.bytes;
-                    if let Some(p) = &self.process {
-                        p.uncharge(f.bytes);
-                    }
-                    self.invalidations.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            self.remove(&mut inner, &k);
+            self.invalidations.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(slot) = inner.map.get_mut(key) {
-            debug_assert!(matches!(slot.state, SlotState::Filling));
-            slot.state = SlotState::Ready(Arc::clone(&frag));
-            slot.last_used = tick;
-            inner.bytes += frag.bytes;
-            if let Some(p) = &self.process {
-                p.charge(frag.bytes);
-            }
-            self.inserted.fetch_add(1, Ordering::Relaxed);
+        let frag = Arc::new(frag);
+        inner.bytes += frag.bytes;
+        if let Some(p) = &self.process {
+            p.add(frag.bytes);
         }
-        // LRU eviction down to budget; `Filling` slots and the entry we
-        // just published survive.
+        let slot = Slot {
+            frag: Arc::clone(&frag),
+            last_used: tick,
+        };
+        inner.map.insert(key.clone(), slot);
+        self.inserted.fetch_add(1, Ordering::Relaxed);
+        // LRU eviction down to budget; the entry just inserted survives.
         while inner.bytes > self.budget {
             let victim = inner
                 .map
                 .iter()
-                .filter(|(k, slot)| *k != key && matches!(slot.state, SlotState::Ready(_)))
+                .filter(|(k, _)| *k != key)
                 .min_by_key(|(_, slot)| slot.last_used)
                 .map(|(k, _)| k.clone());
             let Some(victim) = victim else { break };
-            if let Some(slot) = inner.map.remove(&victim) {
-                if let SlotState::Ready(f) = slot.state {
-                    inner.bytes -= f.bytes;
-                    if let Some(p) = &self.process {
-                        p.uncharge(f.bytes);
-                    }
-                }
-            }
+            self.remove(&mut inner, &victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        drop(inner);
-        self.ready.notify_all();
         frag
     }
 
-    fn abandon(&self, key: &FragmentKey) {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(slot) = inner.map.get(key) {
-            if matches!(slot.state, SlotState::Filling) {
-                inner.map.remove(key);
+    fn remove(&self, inner: &mut Inner, key: &FragmentKey) {
+        if let Some(slot) = inner.map.remove(key) {
+            inner.bytes -= slot.frag.bytes;
+            if let Some(p) = &self.process {
+                p.sub(slot.frag.bytes);
             }
         }
-        drop(inner);
-        self.ready.notify_all();
+    }
+
+    pub fn stats(&self) -> FragmentCacheStats {
+        let inner = self.inner.lock().expect("fragment cache lock poisoned");
+        FragmentCacheStats {
+            reused: self.reused.load(Ordering::Relaxed),
+            inserted: self.inserted.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            invalidations: self.invalidations.load(Ordering::Relaxed),
+            bytes: inner.bytes,
+            entries: inner.map.len() as u64,
+        }
     }
 }
 
 impl Drop for FragmentCache {
     fn drop(&mut self) {
-        // Return the cache's resident bytes to the process-wide budget.
+        // Return the cache's resident bytes to the process-wide counter.
         if let Some(p) = &self.process {
-            p.uncharge(self.inner.lock().unwrap().bytes);
+            let inner = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
+            p.sub(inner.bytes);
         }
     }
 }
@@ -366,37 +267,10 @@ impl std::fmt::Debug for FragmentCache {
     }
 }
 
-/// Exclusive right (and obligation) to fill one `Filling` slot. Dropping
-/// the guard without publishing — the leader errored or unwound —
-/// removes the slot and wakes the waiters so one of them re-leads.
-pub struct LeadGuard<'a> {
-    cache: &'a FragmentCache,
-    key: FragmentKey,
-    published: bool,
-}
-
-impl LeadGuard<'_> {
-    /// Publish the scanned fragment and wake every attached waiter.
-    /// Returns the shared handle so the leader reuses the same bytes.
-    pub fn publish(mut self, frag: Fragment) -> Arc<Fragment> {
-        self.published = true;
-        self.cache.install(&self.key, frag)
-    }
-}
-
-impl Drop for LeadGuard<'_> {
-    fn drop(&mut self) {
-        if !self.published {
-            self.cache.abandon(&self.key);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use orca_common::Datum;
-    use std::time::Duration;
 
     fn batch(vals: &[i64]) -> ColumnBatch {
         let rows: Vec<Vec<Datum>> = vals.iter().map(|v| vec![Datum::Int(*v)]).collect();
@@ -427,13 +301,9 @@ mod tests {
     fn lead_publish_then_reuse() {
         let cache = FragmentCache::new(1 << 20);
         let k = key("t", 1, 42);
-        let Probe::Lead(g) = cache.begin(&k, None).unwrap() else {
-            panic!("first probe must lead");
-        };
-        g.publish(Fragment::new(vec![batch(&[1, 2, 3])], 3, 1));
-        let Probe::Ready(f) = cache.begin(&k, None).unwrap() else {
-            panic!("second probe must reuse");
-        };
+        assert!(cache.get(&k).is_none(), "first probe must miss");
+        cache.insert(&k, Fragment::new(vec![batch(&[1, 2, 3])], 3, 1));
+        let f = cache.get(&k).expect("second probe must reuse");
         assert_eq!(f.scan_rows, 3);
         let s = cache.stats();
         assert_eq!((s.inserted, s.reused, s.entries), (1, 1, 1));
@@ -441,71 +311,68 @@ mod tests {
     }
 
     #[test]
-    fn abandoned_lead_lets_the_next_prober_lead() {
-        let cache = FragmentCache::new(1 << 20);
-        let k = key("t", 1, 7);
-        let Probe::Lead(g) = cache.begin(&k, None).unwrap() else {
-            panic!();
-        };
-        drop(g); // leader errored
-        assert!(matches!(cache.begin(&k, None).unwrap(), Probe::Lead(_)));
-    }
-
-    #[test]
     fn newer_version_purges_older_fragments() {
         let cache = FragmentCache::new(1 << 20);
         let k1 = key("t", 1, 42);
-        let Probe::Lead(g) = cache.begin(&k1, None).unwrap() else {
-            panic!();
-        };
-        g.publish(Fragment::new(vec![batch(&[1])], 1, 1));
+        cache.insert(&k1, Fragment::new(vec![batch(&[1])], 1, 1));
         let k2 = key("t", 2, 42);
-        let Probe::Lead(g) = cache.begin(&k2, None).unwrap() else {
-            panic!();
-        };
-        g.publish(Fragment::new(vec![batch(&[9])], 1, 1));
+        cache.insert(&k2, Fragment::new(vec![batch(&[9])], 1, 1));
         let s = cache.stats();
         assert_eq!(s.invalidations, 1);
         assert_eq!(s.entries, 1);
-        // The old version misses (its entry is gone) → new lead.
-        assert!(matches!(cache.begin(&k1, None).unwrap(), Probe::Lead(_)));
+        // The old version misses: its entry is gone.
+        assert!(cache.get(&k1).is_none());
     }
 
     #[test]
     fn byte_budget_evicts_lru() {
         let cache = FragmentCache::new(1); // everything over budget
         for fp in 0..3u64 {
-            let k = key("t", 1, fp);
-            let Probe::Lead(g) = cache.begin(&k, None).unwrap() else {
-                panic!();
-            };
-            g.publish(Fragment::new(vec![batch(&[1, 2])], 2, 1));
+            cache.insert(&key("t", 1, fp), Fragment::new(vec![batch(&[1, 2])], 2, 1));
         }
         let s = cache.stats();
         assert!(s.evictions >= 2, "evictions={}", s.evictions);
-        // The just-published entry always survives its own insert.
+        // The just-inserted entry always survives its own insert.
         assert_eq!(s.entries, 1);
     }
 
+    /// Two scans that miss the same key at once both insert: the second
+    /// gets the first's fragment back, and the cache and the process
+    /// counter hold one fragment's bytes.
     #[test]
-    fn waiter_attaches_to_inflight_scan() {
-        let cache = Arc::new(FragmentCache::new(1 << 20));
+    fn racing_misses_keep_one_resident_fragment() {
+        let process = Arc::new(MemTracker::new());
+        let cache = FragmentCache::new(1 << 20).with_process_budget(Arc::clone(&process));
         let k = key("t", 1, 5);
-        let Probe::Lead(g) = cache.begin(&k, None).unwrap() else {
-            panic!();
+        let barrier = std::sync::Barrier::new(2);
+        let got: Vec<Arc<Fragment>> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        assert!(cache.get(&k).is_none(), "both racers must miss");
+                        barrier.wait();
+                        cache.insert(&k, Fragment::new(vec![batch(&[1, 2, 3, 4])], 4, 1))
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let rows = |f: &Fragment| {
+            let mut out = Vec::new();
+            f.batches.iter().for_each(|b| b.to_rows(&mut out));
+            out
         };
-        let waiter = {
-            let cache = Arc::clone(&cache);
-            let k = k.clone();
-            std::thread::spawn(move || match cache.begin(&k, None).unwrap() {
-                Probe::Ready(f) => f.scan_rows,
-                Probe::Lead(_) => panic!("slot was filling"),
-            })
-        };
-        // Give the waiter time to observe Filling, then publish.
-        std::thread::sleep(Duration::from_millis(30));
-        g.publish(Fragment::new(vec![batch(&[1, 2, 3, 4])], 4, 1));
-        assert_eq!(waiter.join().unwrap(), 4);
-        assert_eq!(cache.stats().coop_attached, 1);
+        assert_eq!(rows(&got[0]), rows(&got[1]));
+        assert_eq!(rows(&got[0]).len(), 4);
+        assert!(
+            Arc::ptr_eq(&got[0], &got[1]),
+            "both racers share one fragment"
+        );
+        let s = cache.stats();
+        assert_eq!((s.entries, s.inserted), (1, 1));
+        assert_eq!(s.bytes, got[0].bytes);
+        assert_eq!(process.current(), got[0].bytes);
+        drop(cache);
+        assert_eq!(process.current(), 0);
     }
 }

@@ -13,7 +13,7 @@
 //!   capture so a failing job can tear down the whole optimization session,
 //!   and the abort wake list every blocked thread in the process relies on.
 //! * [`mem`] — memory accounting used to report the optimizer footprint
-//!   statistics of §7.2.2.
+//!   statistics of §7.2.2, and the executor's process-wide memory counter.
 
 pub mod mem;
 pub mod sched;

@@ -5,7 +5,9 @@
 //! *uses* the memory manager for in the paper's evaluation is footprint
 //! reporting ("the average memory footprint is around 200 MB", §7.2.2).
 //! [`MemTracker`] is a thread-safe byte counter with peak tracking that the
-//! Memo and metadata cache report their estimated sizes to.
+//! Memo and metadata cache report their estimated sizes to, and the
+//! executor counts its process-wide memory in (operator state peaks,
+//! cached scan fragments, CTE spools).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -24,6 +26,13 @@ impl MemTracker {
     /// Record an allocation of `bytes`.
     pub fn add(&self, bytes: u64) {
         let now = self.current.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.peak.fetch_max(now, Ordering::Relaxed);
+    }
+
+    /// Record a transient allocation of `bytes` that is released at once:
+    /// raises the peak to `current + bytes` without moving `current`.
+    pub fn note_peak(&self, bytes: u64) {
+        let now = self.current.load(Ordering::Relaxed) + bytes;
         self.peak.fetch_max(now, Ordering::Relaxed);
     }
 

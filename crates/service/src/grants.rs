@@ -1,17 +1,18 @@
-//! Executor memory grants: admission against a global memory budget.
+//! Executor memory grants: the service's second [`Pool`], of
+//! `executor_memory_bytes`.
 //!
 //! Every execute-after-optimize request asks the [`MemoryGrantBroker`]
 //! for a grant sized from the optimizer's cost estimate before any
-//! kernel runs. The broker tracks a single global pool of executor
-//! memory and answers one of three ways:
+//! kernel runs. The answer is one of three:
 //!
 //! * **immediate** — the pool covers the request; full grant;
-//! * **queued** — the pool is exhausted below the minimum grant; the
-//!   request parks in FIFO order until enough bytes release;
-//! * **degraded** — the pool covers at least the minimum but not the
-//!   full request; the query runs with a smaller grant, which tightens
-//!   its per-operator budget (`min(work_mem, grant/segments)`) and
-//!   forces earlier spilling instead of failure.
+//! * **queued** — the full ask does not fit (or others wait ahead); the
+//!   request waits its turn in FIFO order until at least the minimum
+//!   grant is free;
+//! * **degraded** — it got at least the minimum but not the full ask;
+//!   the query runs with a smaller grant, which tightens its
+//!   per-operator budget (`min(work_mem, grant/segments)`) and forces
+//!   earlier spilling instead of failure.
 //!
 //! Grants are RAII ([`MemoryGrant`]): dropping one returns its bytes and
 //! wakes the queue. The broker never rejects — a query can always run
@@ -26,27 +27,19 @@
 //! bytes are free (and nobody is queued ahead), the grant upgrades
 //! toward its original ask and the spill may be avoided entirely.
 
-use std::collections::VecDeque;
+use crate::admission::{Admission, Pool};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Floor for any grant: even a degraded query gets this much. Keeps the
 /// per-operator budget non-trivial so spill fanout stays bounded.
 pub const MIN_GRANT_BYTES: u64 = 64 * 1024;
 
-struct Pool {
-    available: u64,
-    /// FIFO of waiting ticket ids; only the head may claim bytes.
-    queue: VecDeque<u64>,
-    next_ticket: u64,
-}
-
 /// Admits query executions against a global executor-memory budget.
 pub struct MemoryGrantBroker {
-    pool: Mutex<Pool>,
-    ready: Condvar,
-    total: u64,
+    /// `None` = unbounded: every request gets its full ask at once.
+    pool: Option<Pool>,
     min_grant: u64,
     admitted: AtomicU64,
     queued: AtomicU64,
@@ -54,17 +47,13 @@ pub struct MemoryGrantBroker {
     regranted: AtomicU64,
 }
 
-/// The mutable half of a grant, shared with the upgrade hook handed to
-/// the executor (which outlives no grant but runs on other threads).
-struct GrantInner {
-    bytes: AtomicU64,
-}
-
 /// One admitted execution's share of the pool. Dropping it releases the
 /// bytes and wakes queued requests.
 pub struct MemoryGrant {
     broker: Arc<MemoryGrantBroker>,
-    inner: Arc<GrantInner>,
+    /// Bytes currently granted: one cell shared with the query's
+    /// [`orca_executor::MemoryTracker`], which a renegotiation grows.
+    bytes: Arc<AtomicU64>,
     /// What the query originally asked for (clamped to the pool size).
     desired: u64,
     /// The grant started smaller than requested — the executor will
@@ -77,8 +66,9 @@ pub struct MemoryGrant {
 
 impl Drop for MemoryGrant {
     fn drop(&mut self) {
-        self.broker
-            .release(self.inner.bytes.load(Ordering::Relaxed));
+        if let Some(pool) = &self.broker.pool {
+            pool.release(self.bytes());
+        }
     }
 }
 
@@ -86,7 +76,13 @@ impl MemoryGrant {
     /// Bytes currently granted (≤ the request; can grow once via
     /// renegotiation).
     pub fn bytes(&self) -> u64 {
-        self.inner.bytes.load(Ordering::Relaxed)
+        self.bytes.load(Ordering::Relaxed)
+    }
+
+    /// The cell holding the grant's current size, for the query's
+    /// [`orca_executor::MemoryTracker`].
+    pub fn bytes_cell(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.bytes)
     }
 
     /// A renegotiation closure for the executor's memory tracker: called
@@ -95,9 +91,9 @@ impl MemoryGrant {
     /// the pool had nothing to give (the spill proceeds).
     pub fn regrant_hook(&self) -> Box<dyn Fn() -> u64 + Send + Sync> {
         let broker = Arc::clone(&self.broker);
-        let inner = Arc::clone(&self.inner);
+        let bytes = Arc::clone(&self.bytes);
         let desired = self.desired;
-        Box::new(move || broker.upgrade(&inner, desired))
+        Box::new(move || broker.upgrade(&bytes, desired))
     }
 }
 
@@ -106,13 +102,7 @@ impl MemoryGrantBroker {
     /// (every request gets its full ask immediately).
     pub fn new(total_bytes: u64) -> MemoryGrantBroker {
         MemoryGrantBroker {
-            pool: Mutex::new(Pool {
-                available: total_bytes,
-                queue: VecDeque::new(),
-                next_ticket: 0,
-            }),
-            ready: Condvar::new(),
-            total: total_bytes,
+            pool: (total_bytes > 0).then(|| Pool::new(total_bytes, usize::MAX)),
             min_grant: MIN_GRANT_BYTES.min(total_bytes.max(1)),
             admitted: AtomicU64::new(0),
             queued: AtomicU64::new(0),
@@ -121,100 +111,59 @@ impl MemoryGrantBroker {
         }
     }
 
-    fn grant(
-        self: &Arc<Self>,
-        bytes: u64,
-        desired: u64,
-        degraded: bool,
-        wait: Duration,
-    ) -> MemoryGrant {
+    /// Acquire a grant of up to `desired` bytes. Unless the whole ask is
+    /// free and nobody waits, blocks in FIFO order until at least the
+    /// minimum grant is free. Never fails.
+    pub fn request(self: &Arc<Self>, desired: u64) -> MemoryGrant {
+        let (admission, bytes, desired) = match &self.pool {
+            None => {
+                let bytes = desired.max(1);
+                (Admission::Immediate, bytes, bytes)
+            }
+            Some(pool) => {
+                let desired = desired.clamp(self.min_grant, pool.capacity());
+                let (admission, bytes) = pool.acquire(self.min_grant, desired, None);
+                (admission, bytes, desired)
+            }
+        };
+        let wait = match admission {
+            Admission::Queued(wait) => {
+                self.queued.fetch_add(1, Ordering::Relaxed);
+                wait
+            }
+            _ => Duration::ZERO,
+        };
+        let degraded = bytes < desired;
+        if degraded {
+            self.degraded.fetch_add(1, Ordering::Relaxed);
+        }
+        self.admitted.fetch_add(1, Ordering::Relaxed);
         MemoryGrant {
             broker: Arc::clone(self),
-            inner: Arc::new(GrantInner {
-                bytes: AtomicU64::new(bytes),
-            }),
+            bytes: Arc::new(AtomicU64::new(bytes)),
             desired,
             degraded,
             wait,
         }
     }
 
-    /// Acquire a grant of up to `desired` bytes; blocks (FIFO) only while
-    /// the pool cannot cover even the minimum grant. Never fails.
-    pub fn request(self: &Arc<Self>, desired: u64) -> MemoryGrant {
-        if self.total == 0 {
-            self.admitted.fetch_add(1, Ordering::Relaxed);
-            let bytes = desired.max(1);
-            return self.grant(bytes, bytes, false, Duration::ZERO);
-        }
-        let desired = desired.clamp(self.min_grant, self.total);
-        let t0 = Instant::now();
-        let mut pool = self.pool.lock().unwrap();
-        // Fast path: pool covers the ask and nobody is ahead of us.
-        if pool.queue.is_empty() && pool.available >= desired {
-            pool.available -= desired;
-            self.admitted.fetch_add(1, Ordering::Relaxed);
-            return self.grant(desired, desired, false, Duration::ZERO);
-        }
-        // Slow path: park in FIFO order until the head can take at least
-        // the minimum grant.
-        let ticket = pool.next_ticket;
-        pool.next_ticket += 1;
-        pool.queue.push_back(ticket);
-        self.queued.fetch_add(1, Ordering::Relaxed);
-        loop {
-            let at_head = pool.queue.front() == Some(&ticket);
-            if at_head && pool.available >= self.min_grant {
-                pool.queue.pop_front();
-                let bytes = pool.available.min(desired);
-                pool.available -= bytes;
-                let degraded = bytes < desired;
-                if degraded {
-                    self.degraded.fetch_add(1, Ordering::Relaxed);
-                }
-                self.admitted.fetch_add(1, Ordering::Relaxed);
-                // The next waiter may also be satisfiable.
-                self.ready.notify_all();
-                drop(pool);
-                return self.grant(bytes, desired, degraded, t0.elapsed());
-            }
-            pool = self.ready.wait(pool).unwrap();
-        }
-    }
-
     /// Renegotiate a degraded grant upward toward its original ask:
     /// claim whatever the pool can spare *now* (other queries may have
-    /// drained their grants back since admission). Queued requests keep
-    /// strict priority — an upgrade never starves the FIFO head. Returns
-    /// the grant's new total in bytes, or 0 when nothing was free.
-    fn upgrade(&self, inner: &GrantInner, desired: u64) -> u64 {
-        if self.total == 0 {
+    /// drained their grants back since admission), never ahead of a
+    /// queued request. Returns the grant's new total in bytes, or 0 when
+    /// nothing was free.
+    fn upgrade(&self, bytes: &AtomicU64, desired: u64) -> u64 {
+        let Some(pool) = &self.pool else {
+            return 0;
+        };
+        let current = bytes.load(Ordering::Relaxed);
+        let extra = pool.top_up(desired.saturating_sub(current));
+        if extra == 0 {
             return 0;
         }
-        let mut pool = self.pool.lock().unwrap();
-        if !pool.queue.is_empty() || pool.available == 0 {
-            return 0;
-        }
-        let current = inner.bytes.load(Ordering::Relaxed);
-        let want = desired.saturating_sub(current);
-        if want == 0 {
-            return 0;
-        }
-        let extra = pool.available.min(want);
-        pool.available -= extra;
-        inner.bytes.fetch_add(extra, Ordering::Relaxed);
+        bytes.fetch_add(extra, Ordering::Relaxed);
         self.regranted.fetch_add(1, Ordering::Relaxed);
         current + extra
-    }
-
-    fn release(&self, bytes: u64) {
-        if self.total == 0 {
-            return;
-        }
-        let mut pool = self.pool.lock().unwrap();
-        pool.available = (pool.available + bytes).min(self.total);
-        drop(pool);
-        self.ready.notify_all();
     }
 
     /// (admitted, queued, degraded) counters.
@@ -233,14 +182,7 @@ impl MemoryGrantBroker {
 
     /// Bytes currently uncommitted.
     pub fn available_bytes(&self) -> u64 {
-        if self.total == 0 {
-            return u64::MAX;
-        }
-        self.pool.lock().unwrap().available
-    }
-
-    pub fn total_bytes(&self) -> u64 {
-        self.total
+        self.pool.as_ref().map_or(u64::MAX, Pool::available)
     }
 }
 

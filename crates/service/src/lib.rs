@@ -8,7 +8,8 @@
 //! * **sessions** ([`session`]) — one per client connection, each owning a
 //!   per-session `MdAccessor` over the shared metadata cache;
 //! * **admission control** ([`admission`]) — a bounded set of concurrent
-//!   optimizations with a FIFO overflow queue and per-request deadlines;
+//!   optimizations with a FIFO overflow queue and per-request deadlines,
+//!   on the same FIFO [`Pool`] the memory grants use;
 //! * **a versioned plan cache** ([`cache`]) — keyed on a
 //!   version-normalized query fingerprint, invalidated by `MdId` version
 //!   drift, evicted LRU under a byte budget;
@@ -17,8 +18,8 @@
 //!   heuristic plan, tagged `degraded: true`, instead of an error;
 //! * **a shared scan-fragment cache** ([`orca_executor::FragmentCache`]) —
 //!   one byte-budgeted cache attached to every engine the execute path
-//!   builds, so concurrent and repeated queries share materialized scan
-//!   fragments (cooperative scans) across requests;
+//!   builds, so repeated queries reuse materialized scan fragments
+//!   across requests;
 //! * **executor memory grants** ([`grants`]) — every execute-after-optimize
 //!   request is admitted against a global executor-memory pool sized by
 //!   [`ServiceConfig::executor_memory_bytes`]; the grant (seeded from the
@@ -52,7 +53,7 @@ pub mod metrics;
 pub mod server;
 pub mod session;
 
-pub use admission::{Admission, AdmissionGate};
+pub use admission::{Admission, Pool};
 pub use cache::{CacheLookup, CachedPlan, PlanCache};
 pub use grants::{MemoryGrant, MemoryGrantBroker};
 pub use metrics::{ServiceMetrics, ServiceStats};
@@ -65,12 +66,13 @@ use orca_catalog::MdAccessor;
 use orca_common::{ColId, MdId, OrcaError, Result};
 use orca_dxl::{plan_to_dxl, query_fingerprint, DxlPlan, DxlQuery};
 use orca_executor::{
-    Cursor, CursorOptions, Database, ExecStats, FragmentCache, MemoryBudget, MemoryTracker,
-    ParallelConfig, ParallelEngine, ParallelStats, Row,
+    Cursor, CursorOptions, Database, ExecStats, FragmentCache, MemoryTracker, ParallelConfig,
+    ParallelEngine, ParallelStats, Row,
 };
 use orca_expr::logical::TableRef;
 use orca_expr::physical::PhysicalPlan;
 use orca_expr::ColumnRegistry;
+use orca_gpos::MemTracker;
 use orca_planner::LegacyPlanner;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -96,10 +98,11 @@ pub struct ServiceConfig {
     /// Byte budget of the shared scan-fragment cache the execute path
     /// attaches to every engine it builds.
     pub fragment_cache_bytes: u64,
-    /// Global executor-memory pool every execution is admitted against
-    /// (grants, fragment cache, and CTE spools all draw on it). `0` =
-    /// unbounded: every request gets its full ask immediately and nothing
-    /// queues or degrades.
+    /// Global executor-memory pool every execution's grant is admitted
+    /// against. `0` = unbounded: every request gets its full ask
+    /// immediately and nothing queues or degrades. Cached fragments and
+    /// CTE spools take no grant; they are only counted, with operator
+    /// state peaks, in `ServiceStats::mem_used_bytes`/`mem_peak_bytes`.
     pub executor_memory_bytes: u64,
     /// Execute plans after planning (requires [`Service::attach_database`]);
     /// `None` = planning-only service.
@@ -287,7 +290,8 @@ pub struct Service {
     optimizer: Optimizer,
     config: ServiceConfig,
     sessions: SessionManager,
-    gate: AdmissionGate,
+    /// The optimizer gate: `max_concurrent` slots, taken one at a time.
+    gate: Pool,
     cache: PlanCache,
     metrics: ServiceMetrics,
     next_ticket: AtomicU64,
@@ -295,13 +299,13 @@ pub struct Service {
     /// planning-only deployment.
     database: RwLock<Option<Arc<Database>>>,
     /// Shared scan-fragment cache attached to every engine the execute
-    /// path builds (cross-query cooperative scans).
+    /// path builds.
     fragments: Arc<FragmentCache>,
     /// Admits executions against the global executor-memory pool.
     grants: Arc<MemoryGrantBroker>,
-    /// Process-wide executor-memory accounting: operator state, spooled
-    /// CTEs, and cached fragments all charge here.
-    exec_budget: Arc<MemoryBudget>,
+    /// Process-wide executor-memory accounting: operator state peaks,
+    /// spooled CTEs, and cached fragments all count here.
+    exec_budget: Arc<MemTracker>,
 }
 
 impl Service {
@@ -312,9 +316,9 @@ impl Service {
         } else {
             config.max_concurrent
         };
-        let exec_budget = Arc::new(MemoryBudget::new(config.executor_memory_bytes));
+        let exec_budget = Arc::new(MemTracker::new());
         Service {
-            gate: AdmissionGate::new(max_concurrent, config.queue_depth),
+            gate: Pool::new(max_concurrent as u64, config.queue_depth),
             cache: PlanCache::new(config.cache_bytes),
             metrics: ServiceMetrics::new(),
             sessions: SessionManager::new(),
@@ -368,7 +372,7 @@ impl Service {
 
     /// Process-wide executor-memory accounting (operator state, spooled
     /// CTEs, cached fragments).
-    pub fn exec_budget(&self) -> &Arc<MemoryBudget> {
+    pub fn exec_budget(&self) -> &Arc<MemTracker> {
         &self.exec_budget
     }
 
@@ -503,7 +507,7 @@ impl Service {
             }
         }
 
-        let queue_wait = match self.gate.acquire(ticket_id, deadline) {
+        let queue_wait = match self.gate.acquire(1, 1, deadline).0 {
             Admission::Immediate => Duration::ZERO,
             Admission::Queued(w) => {
                 ServiceMetrics::bump(&self.metrics.queued);
@@ -540,7 +544,7 @@ impl Service {
         let result = self
             .optimizer
             .optimize_query_with_deadline(&query, deadline);
-        self.gate.release();
+        self.gate.release(1);
 
         match result {
             Ok((plan, stats)) => {
@@ -617,7 +621,6 @@ impl Service {
         s.fragment_entries = f.entries;
         s.fragments_reused = f.reused;
         s.fragments_inserted = f.inserted;
-        s.fragment_coop_attached = f.coop_attached;
         s.fragment_evictions = f.evictions;
         s.fragment_invalidations = f.invalidations;
         let (admitted, queued, degraded) = self.grants.counters();
@@ -625,8 +628,8 @@ impl Service {
         s.mem_queued = queued;
         s.mem_degraded_grants = degraded;
         s.mem_regranted = self.grants.regranted();
-        s.mem_used_bytes = self.exec_budget.used_bytes();
-        s.mem_peak_bytes = self.exec_budget.peak_bytes();
+        s.mem_used_bytes = self.exec_budget.current();
+        s.mem_peak_bytes = self.exec_budget.peak();
         s
     }
 
@@ -716,7 +719,7 @@ impl Service {
         let desired = Self::grant_estimate(cost, &db.cluster);
         let grant = self.grants.request(desired);
         let tracker = Arc::new(MemoryTracker::granted(
-            grant.bytes(),
+            grant.bytes_cell(),
             db.cluster.num_segments,
             Some(Arc::clone(&self.exec_budget)),
         ));
@@ -889,16 +892,16 @@ mod tests {
         assert_eq!(config.optimizer.workers, 1);
         let svc = Service::new(provider_with_tables(2), config);
         let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        for ticket in 0..cpus as u64 {
-            assert_eq!(svc.gate.acquire(ticket, None), Admission::Immediate);
+        for _ in 0..cpus {
+            assert_eq!(svc.gate.acquire(1, 1, None).0, Admission::Immediate);
         }
         assert_eq!(
-            svc.gate.acquire(cpus as u64, Some(Instant::now())),
+            svc.gate.acquire(1, 1, Some(Instant::now())).0,
             Admission::TimedOut,
             "admitted more than {cpus} concurrent optimizations"
         );
         for _ in 0..cpus {
-            svc.gate.release();
+            svc.gate.release(1);
         }
     }
 

@@ -44,11 +44,8 @@ pub struct ServiceStats {
     pub fragment_entries: u64,
     /// Scans answered from an already-materialized cached fragment.
     pub fragments_reused: u64,
-    /// Fragments materialized and published by a scan leader.
+    /// Fragments a scan materialized and inserted.
     pub fragments_inserted: u64,
-    /// Scans that attached to a fragment *while* another query was still
-    /// materializing it (cooperative scan).
-    pub fragment_coop_attached: u64,
     /// Fragments displaced by the fragment cache's byte-budget LRU.
     pub fragment_evictions: u64,
     /// Fragments dropped because their table's `MdId` version moved on.

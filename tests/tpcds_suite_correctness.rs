@@ -347,7 +347,10 @@ fn first_suite_queries_spill_identically_under_1kib_work_mem() {
     let (db, corpus) = executable_corpus();
     let mut db = db.clone();
     db.cluster.work_mem_bytes = WORK_MEM;
-    let grant = || Arc::new(MemoryTracker::granted(granted, SEGMENTS, None));
+    let grant = || {
+        let cell = Arc::new(std::sync::atomic::AtomicU64::new(granted));
+        Arc::new(MemoryTracker::granted(cell, SEGMENTS, None))
+    };
     let check = |q: &Executable, mode: &str, stats: &ExecStats, rows: &[Row]| {
         assert_eq!(rows, q.oracle.rows, "{} ({mode}): rows diverged", q.id);
         assert!(
