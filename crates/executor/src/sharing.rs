@@ -17,15 +17,16 @@
 //! inserting a fragment purges every entry of the same table at a
 //! *different* version (counted as an invalidation).
 //!
-//! **Budget.** Entries are evicted LRU (by probe tick) whenever the
-//! resident byte total exceeds the budget; the just-inserted entry is
-//! never evicted.
+//! **Budget.** Entries are evicted least-recently-used first (the
+//! [`LruOrder`] both byte-budgeted caches share) whenever the resident
+//! byte total exceeds the budget; the just-inserted entry is never
+//! evicted.
 
 use crate::columnar::ColumnBatch;
 use orca_common::hash::fnv_hash;
 use orca_common::ColId;
 use orca_expr::scalar::ScalarExpr;
-use orca_gpos::MemTracker;
+use orca_gpos::{LruOrder, MemTracker};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -105,14 +106,15 @@ impl Fragment {
 
 struct Slot {
     frag: Arc<Fragment>,
-    last_used: u64,
+    /// This key's stamp in `Inner::lru`.
+    tick: u64,
 }
 
 #[derive(Default)]
 struct Inner {
     map: HashMap<FragmentKey, Slot>,
+    lru: LruOrder<FragmentKey>,
     bytes: u64,
-    tick: u64,
 }
 
 /// Counter snapshot for stats surfaces.
@@ -166,11 +168,9 @@ impl FragmentCache {
 
     /// The resident fragment for `key`, if any.
     pub fn get(&self, key: &FragmentKey) -> Option<Arc<Fragment>> {
-        let mut inner = self.inner.lock().expect("fragment cache lock poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
+        let inner = &mut *self.inner.lock().expect("fragment cache lock poisoned");
         let slot = inner.map.get_mut(key)?;
-        slot.last_used = tick;
+        slot.tick = inner.lru.touch(slot.tick);
         self.reused.fetch_add(1, Ordering::Relaxed);
         Some(Arc::clone(&slot.frag))
     }
@@ -179,11 +179,9 @@ impl FragmentCache {
     /// a racing scan already inserted `key`, the resident fragment is
     /// kept and returned instead, and nothing is charged twice.
     pub fn insert(&self, key: &FragmentKey, frag: Fragment) -> Arc<Fragment> {
-        let mut inner = self.inner.lock().expect("fragment cache lock poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
+        let inner = &mut *self.inner.lock().expect("fragment cache lock poisoned");
         if let Some(slot) = inner.map.get_mut(key) {
-            slot.last_used = tick;
+            slot.tick = inner.lru.touch(slot.tick);
             return Arc::clone(&slot.frag);
         }
         // A newer version of this table landing means every other
@@ -195,7 +193,7 @@ impl FragmentCache {
             .cloned()
             .collect();
         for k in stale {
-            self.remove(&mut inner, &k);
+            self.remove(inner, &k);
             self.invalidations.fetch_add(1, Ordering::Relaxed);
         }
         let frag = Arc::new(frag);
@@ -203,22 +201,19 @@ impl FragmentCache {
         if let Some(p) = &self.process {
             p.add(frag.bytes);
         }
+        let tick = inner.lru.insert(key.clone());
         let slot = Slot {
             frag: Arc::clone(&frag),
-            last_used: tick,
+            tick,
         };
         inner.map.insert(key.clone(), slot);
         self.inserted.fetch_add(1, Ordering::Relaxed);
         // LRU eviction down to budget; the entry just inserted survives.
         while inner.bytes > self.budget {
-            let victim = inner
-                .map
-                .iter()
-                .filter(|(k, _)| *k != key)
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(k, _)| k.clone());
-            let Some(victim) = victim else { break };
-            self.remove(&mut inner, &victim);
+            let Some(victim) = inner.lru.oldest_except(tick).cloned() else {
+                break;
+            };
+            self.remove(inner, &victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         frag
@@ -226,6 +221,7 @@ impl FragmentCache {
 
     fn remove(&self, inner: &mut Inner, key: &FragmentKey) {
         if let Some(slot) = inner.map.remove(key) {
+            inner.lru.remove(slot.tick);
             inner.bytes -= slot.frag.bytes;
             if let Some(p) = &self.process {
                 p.sub(slot.frag.bytes);

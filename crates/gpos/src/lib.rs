@@ -12,13 +12,17 @@
 //! * [`task`] — cooperative cancellation: abort flags, deadlines, error
 //!   capture so a failing job can tear down the whole optimization session,
 //!   and the abort wake list every blocked thread in the process relies on.
+//! * [`lru`] — the least-recently-used order the byte-budgeted caches
+//!   (plans, scan fragments) evict by.
 //! * [`mem`] — memory accounting used to report the optimizer footprint
 //!   statistics of §7.2.2, and the executor's process-wide memory counter.
 
+pub mod lru;
 pub mod mem;
 pub mod sched;
 pub mod task;
 
+pub use lru::LruOrder;
 pub use mem::MemTracker;
 pub use sched::{Job, JobHandle, Scheduler, StepResult};
 pub use task::{wait_until, AbortSignal, OnAbort};

@@ -12,7 +12,8 @@
 //!   on the same FIFO [`Pool`] the memory grants use;
 //! * **a versioned plan cache** ([`cache`]) — keyed on a
 //!   version-normalized query fingerprint, invalidated by `MdId` version
-//!   drift, evicted LRU under a byte budget;
+//!   drift, evicted LRU under a byte budget, with a text index that
+//!   serves a repeated request text without parsing it;
 //! * **graceful degradation** — on deadline expiry or queue rejection the
 //!   service answers with the best-so-far plan or the legacy planner's
 //!   heuristic plan, tagged `degraded: true`, instead of an error;
@@ -36,15 +37,21 @@
 //! into [`ExecSummary::rows`].
 //!
 //! ```text
-//! submit(dxl) ─ parse ─ rebind tables to current versions ─ fingerprint
-//!    ├─ cache hit (id set matches) ──────────────────────► cached plan
-//!    └─ miss/stale ─ admission gate ─┬─ admitted ─ optimize(deadline)
-//!                                    │     ├─ done ── cache + return
-//!                                    │     ├─ truncated ─ degraded plan
-//!                                    │     └─ timeout ─ fallback, degraded
-//!                                    └─ rejected/queue-timeout ─ fallback
+//! submit(dxl) ─ text index: alias found, every binding still current,
+//!    │          its entry a hit (id set matches) ─────────────────► cached plan
+//!    └─ no alias / a binding moved / stale ─ parse ─ rebind tables to
+//!       current versions ─ fingerprint
+//!       ├─ cache hit (id set matches) ─ alias the text ──────────► cached plan
+//!       └─ miss/stale ─ admission gate ─┬─ admitted ─ optimize(deadline)
+//!                                       │     ├─ done ── cache + return
+//!                                       │     ├─ truncated ─ degraded plan
+//!                                       │     └─ timeout ─ fallback, degraded
+//!                                       └─ rejected/queue-timeout ─ fallback
 //!    then: sink.on_plan(header) ─ execute ─ sink.on_rows(batch)…
 //! ```
+//!
+//! Both cache hits go through one function (`serve_hit`); the text hit
+//! only skips the parse, the rebind and the fingerprint in front of it.
 
 pub mod admission;
 pub mod cache;
@@ -54,7 +61,7 @@ pub mod server;
 pub mod session;
 
 pub use admission::{Admission, Pool};
-pub use cache::{CacheLookup, CachedPlan, PlanCache};
+pub use cache::{CacheLookup, CachedPlan, PlanCache, TextAlias};
 pub use grants::{MemoryGrant, MemoryGrantBroker};
 pub use metrics::{ServiceMetrics, ServiceStats};
 pub use server::{ServiceClient, ServiceServer};
@@ -285,6 +292,23 @@ impl StreamSink for CollectSink {
     }
 }
 
+/// One submission in flight: its session, ticket number and start time.
+struct Request {
+    sess: Arc<Session>,
+    ticket: u64,
+    started: Instant,
+}
+
+impl Request {
+    fn ticket(self, response: PlanResponse) -> PlanTicket {
+        PlanTicket {
+            id: self.ticket,
+            session: self.sess.id,
+            response,
+        }
+    }
+}
+
 /// The optimizer service.
 pub struct Service {
     optimizer: Optimizer,
@@ -400,14 +424,14 @@ impl Service {
     }
 
     /// Submit with an explicit per-request budget (overrides the default).
+    /// The rows are collected into the ticket's `execution.rows`.
     pub fn submit_with_deadline(
         &self,
         session: SessionId,
         dxl: &str,
         budget: Option<Duration>,
     ) -> Result<PlanTicket> {
-        let query = orca_dxl::parse_query(dxl, self.optimizer.provider().as_ref())?;
-        self.submit_query(session, &query, budget)
+        Self::collect(|sink| self.submit_streaming(session, dxl, budget, sink))
     }
 
     /// Submit an already-parsed query document (what in-process callers
@@ -419,8 +443,19 @@ impl Service {
         query: &DxlQuery,
         budget: Option<Duration>,
     ) -> Result<PlanTicket> {
+        Self::collect(|sink| {
+            let req = self.begin(session)?;
+            self.submit_parsed(req, query, None, budget, sink)
+        })
+    }
+
+    /// Run one submission against a sink that keeps the rows, and move
+    /// them into the ticket.
+    fn collect(
+        submit: impl FnOnce(&mut dyn StreamSink) -> Result<PlanTicket>,
+    ) -> Result<PlanTicket> {
         let mut sink = CollectSink::default();
-        let mut ticket = self.submit_query_inner(session, query, budget, &mut sink)?;
+        let mut ticket = submit(&mut sink)?;
         if let Some(execution) = &mut ticket.response.execution {
             execution.rows = sink.rows;
         }
@@ -430,6 +465,9 @@ impl Service {
     /// Submit a DXL document and stream the response through `sink`: the
     /// plan header first, then result rows batch by batch. The returned
     /// ticket's `execution.rows` is empty — the rows went to the sink.
+    ///
+    /// A text that hit the plan cache before is served from the cache's
+    /// text index without being parsed; any other text is parsed.
     pub fn submit_streaming(
         &self,
         session: SessionId,
@@ -437,29 +475,70 @@ impl Service {
         budget: Option<Duration>,
         sink: &mut dyn StreamSink,
     ) -> Result<PlanTicket> {
+        let req = self.begin(session)?;
+        if let Some((alias, cached)) = self.text_hit(dxl) {
+            ServiceMetrics::bump(&self.metrics.cache_text_hits);
+            return self.serve_hit(req, &cached, alias.fingerprint, &alias.output_cols, sink);
+        }
         let query = orca_dxl::parse_query(dxl, self.optimizer.provider().as_ref())?;
-        self.submit_query_inner(session, &query, budget, sink)
+        self.submit_parsed(req, &query, Some(dxl), budget, sink)
     }
 
-    fn submit_query_inner(
+    /// Open a request on `session`: count it and give it a ticket number.
+    fn begin(&self, session: SessionId) -> Result<Request> {
+        let started = Instant::now();
+        let sess = self.sessions.get(session)?;
+        sess.submitted.fetch_add(1, Ordering::Relaxed);
+        Ok(Request {
+            sess,
+            ticket: self.next_ticket.fetch_add(1, Ordering::Relaxed),
+            started,
+        })
+    }
+
+    /// The cache hit the request text `dxl` resolves to without a parse:
+    /// the text has an alias, every table it bound still has the version
+    /// it was bound to, and the alias's entry is a hit for that id set.
+    /// `None` sends the text down the parse path, which then settles a
+    /// stale entry exactly as it would have without the text index.
+    fn text_hit(&self, dxl: &str) -> Option<(Arc<TextAlias>, Arc<CachedPlan>)> {
+        let alias = self.cache.alias(dxl)?;
+        let provider = self.optimizer.provider();
+        if !alias
+            .bindings
+            .iter()
+            .all(|(name, mdid)| provider.table_by_name(name) == Some(*mdid))
+        {
+            return None;
+        }
+        match self.cache.lookup(alias.fingerprint, &alias.md_ids) {
+            CacheLookup::Hit(cached) => Some((alias, cached)),
+            CacheLookup::Stale | CacheLookup::Miss => None,
+        }
+    }
+
+    /// A parsed query's path: rebind, fingerprint, probe the cache, and
+    /// on a miss optimize (or fall back). `text` is the request text it
+    /// was parsed from, aliased to the entry on a hit.
+    fn submit_parsed(
         &self,
-        session: SessionId,
+        req: Request,
         query: &DxlQuery,
+        text: Option<&str>,
         budget: Option<Duration>,
         sink: &mut dyn StreamSink,
     ) -> Result<PlanTicket> {
-        let started = Instant::now();
-        let deadline = budget.map(|b| started + b);
-        let sess = self.sessions.get(session)?;
-        sess.submitted.fetch_add(1, Ordering::Relaxed);
-        let ticket_id = self.next_ticket.fetch_add(1, Ordering::Relaxed);
+        let deadline = budget.map(|b| req.started + b);
 
         // Rebind every table to its *current* catalog version. DXL carries
         // explicit versioned MdIds, so without this a resubmission after
         // `bump_table_version` would silently optimize against stale
         // metadata — and the cache could never be told apart from it.
+        let mut bindings: Vec<(String, MdId)> = Vec::new();
         let expr = query.expr.try_map_tables(&mut |t: &TableRef| {
-            sess.accessor.table_by_name(&t.name).map(TableRef)
+            let desc = req.sess.accessor.table_by_name(&t.name)?;
+            bindings.push((t.name.clone(), desc.mdid));
+            Ok(TableRef(desc))
         })?;
         let query = DxlQuery {
             expr,
@@ -476,31 +555,20 @@ impl Service {
 
         match self.cache.lookup(fingerprint, &current_ids) {
             CacheLookup::Hit(cached) => {
-                ServiceMetrics::bump(&self.metrics.cache_hits);
-                sink.on_plan(&PlanHeader {
-                    plan_dxl: &cached.plan_dxl,
-                    cost: cached.cost,
-                    degraded: false,
-                    source: PlanSource::Cache,
-                    fingerprint,
-                })?;
-                let execution =
-                    self.maybe_execute(&cached.plan, &query.output_cols, cached.cost, sink)?;
-                return Ok(self.ticket(
-                    ticket_id,
-                    session,
-                    PlanResponse {
-                        plan_dxl: cached.plan_dxl.clone(),
-                        cost: cached.cost,
-                        degraded: false,
-                        source: PlanSource::Cache,
-                        fingerprint,
-                        queue_wait: Duration::ZERO,
-                        latency: started.elapsed(),
-                        stats: Some(cached.stats.clone()),
-                        execution,
-                    },
-                ));
+                if let Some(text) = text {
+                    bindings.sort();
+                    bindings.dedup();
+                    self.cache.record_alias(
+                        text,
+                        TextAlias {
+                            fingerprint,
+                            bindings,
+                            md_ids: current_ids,
+                            output_cols: query.output_cols.clone(),
+                        },
+                    );
+                }
+                return self.serve_hit(req, &cached, fingerprint, &query.output_cols, sink);
             }
             CacheLookup::Stale | CacheLookup::Miss => {
                 ServiceMetrics::bump(&self.metrics.cache_misses);
@@ -515,29 +583,12 @@ impl Service {
             }
             Admission::Rejected => {
                 ServiceMetrics::bump(&self.metrics.rejected);
-                return self.fallback(
-                    ticket_id,
-                    session,
-                    &sess.accessor,
-                    &query,
-                    fingerprint,
-                    started,
-                    Duration::ZERO,
-                    sink,
-                );
+                return self.fallback(req, &query, fingerprint, Duration::ZERO, sink);
             }
             Admission::TimedOut => {
                 ServiceMetrics::bump(&self.metrics.queued);
-                return self.fallback(
-                    ticket_id,
-                    session,
-                    &sess.accessor,
-                    &query,
-                    fingerprint,
-                    started,
-                    started.elapsed(),
-                    sink,
-                );
+                let waited = req.started.elapsed();
+                return self.fallback(req, &query, fingerprint, waited, sink);
             }
         };
         ServiceMetrics::bump(&self.metrics.admitted);
@@ -570,7 +621,7 @@ impl Service {
                         }),
                     );
                 }
-                self.metrics.record_latency(started.elapsed());
+                self.metrics.record_latency(req.started.elapsed());
                 sink.on_plan(&PlanHeader {
                     plan_dxl: &plan_dxl,
                     cost: stats.plan_cost,
@@ -580,34 +631,55 @@ impl Service {
                 })?;
                 let execution =
                     self.maybe_execute(&plan, &query.output_cols, stats.plan_cost, sink)?;
-                Ok(self.ticket(
-                    ticket_id,
-                    session,
-                    PlanResponse {
-                        plan_dxl,
-                        cost: stats.plan_cost,
-                        degraded,
-                        source: PlanSource::Fresh,
-                        fingerprint,
-                        queue_wait,
-                        latency: started.elapsed(),
-                        stats: Some(stats),
-                        execution,
-                    },
-                ))
+                let latency = req.started.elapsed();
+                Ok(req.ticket(PlanResponse {
+                    plan_dxl,
+                    cost: stats.plan_cost,
+                    degraded,
+                    source: PlanSource::Fresh,
+                    fingerprint,
+                    queue_wait,
+                    latency,
+                    stats: Some(stats),
+                    execution,
+                }))
             }
-            Err(OrcaError::Timeout(_)) => self.fallback(
-                ticket_id,
-                session,
-                &sess.accessor,
-                &query,
-                fingerprint,
-                started,
-                queue_wait,
-                sink,
-            ),
+            Err(OrcaError::Timeout(_)) => self.fallback(req, &query, fingerprint, queue_wait, sink),
             Err(e) => Err(e),
         }
+    }
+
+    /// The one cache-hit path, whether the request text or its parse
+    /// found the entry: send the cached plan, execute it, answer.
+    fn serve_hit(
+        &self,
+        req: Request,
+        cached: &CachedPlan,
+        fingerprint: u64,
+        output_cols: &[ColId],
+        sink: &mut dyn StreamSink,
+    ) -> Result<PlanTicket> {
+        ServiceMetrics::bump(&self.metrics.cache_hits);
+        sink.on_plan(&PlanHeader {
+            plan_dxl: &cached.plan_dxl,
+            cost: cached.cost,
+            degraded: false,
+            source: PlanSource::Cache,
+            fingerprint,
+        })?;
+        let execution = self.maybe_execute(&cached.plan, output_cols, cached.cost, sink)?;
+        let latency = req.started.elapsed();
+        Ok(req.ticket(PlanResponse {
+            plan_dxl: cached.plan_dxl.clone(),
+            cost: cached.cost,
+            degraded: false,
+            source: PlanSource::Cache,
+            fingerprint,
+            queue_wait: Duration::ZERO,
+            latency,
+            stats: Some(cached.stats.clone()),
+            execution,
+        }))
     }
 
     /// Metrics snapshot.
@@ -633,26 +705,14 @@ impl Service {
         s
     }
 
-    fn ticket(&self, id: u64, session: SessionId, response: PlanResponse) -> PlanTicket {
-        PlanTicket {
-            id,
-            session,
-            response,
-        }
-    }
-
     /// Heuristic degradation path: the legacy bottom-up planner is orders
     /// of magnitude cheaper than the Memo search, so it always answers —
     /// the serving equivalent of the §4.1 stage fallback.
-    #[allow(clippy::too_many_arguments)]
     fn fallback(
         &self,
-        ticket_id: u64,
-        session: SessionId,
-        accessor: &MdAccessor,
+        req: Request,
         query: &DxlQuery,
         fingerprint: u64,
-        started: Instant,
         queue_wait: Duration,
         sink: &mut dyn StreamSink,
     ) -> Result<PlanTicket> {
@@ -661,7 +721,7 @@ impl Service {
             registry.fresh(name, *ty);
         }
         let (plan, cost) =
-            LegacyPlanner::new(accessor, &registry).plan(&query.expr, &query.order)?;
+            LegacyPlanner::new(&req.sess.accessor, &registry).plan(&query.expr, &query.order)?;
         ServiceMetrics::bump(&self.metrics.degraded);
         let plan_dxl = plan_to_dxl(&DxlPlan {
             plan: plan.clone(),
@@ -675,21 +735,18 @@ impl Service {
             fingerprint,
         })?;
         let execution = self.maybe_execute(&plan, &query.output_cols, cost, sink)?;
-        Ok(self.ticket(
-            ticket_id,
-            session,
-            PlanResponse {
-                plan_dxl,
-                cost,
-                degraded: true,
-                source: PlanSource::Fallback,
-                fingerprint,
-                queue_wait,
-                latency: started.elapsed(),
-                stats: None,
-                execution,
-            },
-        ))
+        let latency = req.started.elapsed();
+        Ok(req.ticket(PlanResponse {
+            plan_dxl,
+            cost,
+            degraded: true,
+            source: PlanSource::Fallback,
+            fingerprint,
+            queue_wait,
+            latency,
+            stats: None,
+            execution,
+        }))
     }
 
     /// Execute-after-optimize: run `plan` on the attached database when
@@ -1130,6 +1187,173 @@ mod tests {
         let default = run(ExecuteConfig::default());
         assert!(!default.is_empty());
         assert_eq!(pinned_row, default);
+    }
+
+    /// `SELECT t0.b FROM t0 WHERE t0.a = literal`: one fingerprint per
+    /// literal, like `plan_cold`'s unique range literals.
+    fn filter_query(p: &MemoryProvider, literal: i64) -> DxlQuery {
+        let registry = ColumnRegistry::new();
+        let desc = p.table(p.table_by_name("t0").unwrap()).unwrap();
+        let cols: Vec<ColId> = desc
+            .columns
+            .iter()
+            .map(|c| registry.fresh(&format!("t0.{}", c.name), c.dtype))
+            .collect();
+        let pred = ScalarExpr::cmp(
+            CmpOp::Eq,
+            ScalarExpr::col(cols[0]),
+            ScalarExpr::int(literal),
+        );
+        let scan = LogicalExpr::leaf(LogicalOp::Get {
+            table: TableRef(desc),
+            cols: cols.clone(),
+            parts: None,
+        });
+        DxlQuery {
+            output_cols: vec![cols[1]],
+            order: OrderSpec::any(),
+            dist: DistSpec::Singleton,
+            columns: registry.snapshot(),
+            expr: LogicalExpr::new(LogicalOp::Select { pred }, vec![scan]),
+        }
+    }
+
+    #[test]
+    fn repeated_text_skips_the_parse_until_a_version_bump() {
+        let p = provider_with_tables(2);
+        let svc = Service::new(p.clone(), ServiceConfig::default());
+        let s = svc.open_session();
+        let dxl = orca_dxl::query_to_dxl(&two_table_query(&p));
+        let submit = || svc.submit(s, &dxl).unwrap().response;
+
+        let fresh = submit();
+        assert_eq!(fresh.source, PlanSource::Fresh);
+        // The first hit parses and aliases the text; the next skips both.
+        let parsed_hit = submit();
+        assert_eq!(parsed_hit.source, PlanSource::Cache);
+        assert_eq!(svc.stats().cache_text_hits, 0);
+        assert_eq!(svc.cache().aliases(), 1);
+        let text_hit = submit();
+        assert_eq!(text_hit.source, PlanSource::Cache);
+        assert_eq!(text_hit.plan_dxl, fresh.plan_dxl);
+        assert_eq!(text_hit.fingerprint, fresh.fingerprint);
+        let st = svc.stats();
+        assert_eq!(
+            (st.cache_hits, st.cache_text_hits, st.cache_misses),
+            (2, 1, 1)
+        );
+
+        // A bump breaks the binding: the same text re-optimizes, and the
+        // stale entry is invalidated exactly once, with its alias.
+        p.bump_table_version(p.table_by_name("t0").unwrap())
+            .unwrap();
+        let after = submit();
+        assert_eq!(after.source, PlanSource::Fresh);
+        assert_eq!(after.fingerprint, fresh.fingerprint);
+        let st = svc.stats();
+        assert_eq!(st.cache_invalidations, 1);
+        assert_eq!(
+            (st.cache_hits, st.cache_text_hits, st.cache_misses),
+            (2, 1, 2)
+        );
+        assert_eq!(svc.cache().aliases(), 0);
+
+        // The new entry is aliased again on its first hit.
+        assert_eq!(submit().source, PlanSource::Cache);
+        assert_eq!(submit().source, PlanSource::Cache);
+        let st = svc.stats();
+        assert_eq!(
+            (st.cache_hits, st.cache_text_hits, st.cache_misses),
+            (4, 2, 2)
+        );
+        assert_eq!(st.cache_invalidations, 1);
+        svc.cache().assert_consistent();
+    }
+
+    #[test]
+    fn texts_of_one_query_share_one_entry() {
+        let p = provider_with_tables(2);
+        let svc = Service::new(p.clone(), ServiceConfig::default());
+        let s = svc.open_session();
+        let dxl = orca_dxl::query_to_dxl(&two_table_query(&p));
+        let spaced = dxl.replace("\n", "\n  ");
+        assert_ne!(dxl, spaced);
+
+        let fresh = svc.submit(s, &dxl).unwrap().response;
+        assert_eq!(
+            svc.submit(s, &dxl).unwrap().response.source,
+            PlanSource::Cache
+        );
+        // Another text of the same query parses, then hits the one entry.
+        let parsed = svc.submit(s, &spaced).unwrap().response;
+        assert_eq!(parsed.source, PlanSource::Cache);
+        assert_eq!(parsed.plan_dxl, fresh.plan_dxl);
+        assert_eq!(parsed.fingerprint, fresh.fingerprint);
+        assert_eq!(svc.stats().cache_text_hits, 0);
+        for text in [&dxl, &spaced] {
+            let hit = svc.submit(s, text).unwrap().response;
+            assert_eq!(hit.source, PlanSource::Cache);
+            assert_eq!(hit.plan_dxl, fresh.plan_dxl);
+        }
+        assert_eq!(svc.stats().cache_text_hits, 2);
+        assert_eq!(svc.cache().len(), 1);
+        assert_eq!(svc.cache().aliases(), 2);
+        svc.cache().assert_consistent();
+    }
+
+    #[test]
+    fn fallback_plans_are_never_aliased() {
+        let p = provider_with_tables(2);
+        let svc = Service::new(p.clone(), ServiceConfig::default());
+        let s = svc.open_session();
+        let dxl = orca_dxl::query_to_dxl(&two_table_query(&p));
+        for _ in 0..3 {
+            let r = svc
+                .submit_with_deadline(s, &dxl, Some(Duration::ZERO))
+                .unwrap()
+                .response;
+            assert_eq!(r.source, PlanSource::Fallback);
+            assert!(r.degraded);
+        }
+        assert_eq!(svc.cache().aliases(), 0);
+        assert_eq!(svc.stats().cache_text_hits, 0);
+        // Nothing was cached either: the next request optimizes.
+        let r = svc.submit(s, &dxl).unwrap().response;
+        assert_eq!(r.source, PlanSource::Fresh);
+        assert_eq!(svc.cache().aliases(), 0);
+    }
+
+    #[test]
+    fn unique_texts_keep_the_cache_within_budget() {
+        let p = provider_with_tables(1);
+        let budget = 24 << 10;
+        let svc = Service::new(
+            p.clone(),
+            ServiceConfig {
+                cache_bytes: budget,
+                ..ServiceConfig::default()
+            },
+        );
+        let s = svc.open_session();
+        for literal in 0..2_000 {
+            let dxl = orca_dxl::query_to_dxl(&filter_query(&p, literal));
+            assert_eq!(
+                svc.submit(s, &dxl).unwrap().response.source,
+                PlanSource::Fresh
+            );
+            assert_eq!(
+                svc.submit(s, &dxl).unwrap().response.source,
+                PlanSource::Cache
+            );
+            assert!(svc.cache().bytes() <= budget);
+            if literal % 100 == 0 {
+                svc.cache().assert_consistent();
+            }
+        }
+        svc.cache().assert_consistent();
+        let st = svc.stats();
+        assert!(st.cache_evictions > 0, "the budget must have been exceeded");
+        assert!(svc.cache().aliases() <= svc.cache().len());
     }
 
     fn two_table_query_single(svc: &Service) -> DxlQuery {

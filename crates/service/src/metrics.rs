@@ -23,7 +23,11 @@ pub struct ServiceStats {
     /// Responses tagged `degraded: true` (fallback plan or truncated
     /// search).
     pub degraded: u64,
+    /// Requests served from the plan cache, however the entry was found.
     pub cache_hits: u64,
+    /// Those of `cache_hits` served from the request text alone, without
+    /// parsing it (the plan cache's text index).
+    pub cache_text_hits: u64,
     pub cache_misses: u64,
     /// Entries displaced by the byte-budget LRU.
     pub cache_evictions: u64,
@@ -103,6 +107,7 @@ pub struct ServiceMetrics {
     pub rejected: AtomicU64,
     pub degraded: AtomicU64,
     pub cache_hits: AtomicU64,
+    pub cache_text_hits: AtomicU64,
     pub cache_misses: AtomicU64,
     pub executed: AtomicU64,
     pub net_connections: AtomicU64,
@@ -177,6 +182,7 @@ impl ServiceMetrics {
             rejected: self.rejected.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            cache_text_hits: self.cache_text_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             coalesced: 0,
             executed: self.executed.load(Ordering::Relaxed),

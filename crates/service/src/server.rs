@@ -71,12 +71,15 @@ fn net_err(what: &str, e: std::io::Error) -> OrcaError {
     OrcaError::Net(format!("{what}: {e}"))
 }
 
-/// Build one service frame: length prefix counting the type byte.
-fn frame(ty: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(5 + payload.len());
-    codec::put_u32(&mut out, (payload.len() + 1) as u32);
+/// Build one service frame in one buffer: reserve the length prefix,
+/// write the type byte and let `payload` append the rest, then patch the
+/// prefix (which counts the type byte).
+fn frame(ty: u8, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = vec![0; 4];
     out.push(ty);
-    out.extend_from_slice(payload);
+    payload(&mut out);
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_le_bytes());
     out
 }
 
@@ -125,16 +128,14 @@ fn source_from_code(b: u8) -> Result<PlanSource> {
     })
 }
 
-fn encode_rows(rows: &[Row]) -> Vec<u8> {
-    let mut p = Vec::new();
-    codec::put_u32(&mut p, rows.len() as u32);
+fn encode_rows(p: &mut Vec<u8>, rows: &[Row]) {
+    codec::put_u32(p, rows.len() as u32);
     for row in rows {
-        codec::put_u32(&mut p, row.len() as u32);
+        codec::put_u32(p, row.len() as u32);
         for d in row {
-            codec::encode_datum(&mut p, d);
+            codec::encode_datum(p, d);
         }
     }
-    p
 }
 
 fn decode_rows(payload: &[u8]) -> Result<Vec<Row>> {
@@ -164,27 +165,32 @@ struct ConnSink<'a> {
     early: bool,
 }
 
-impl ConnSink<'_> {
-    fn write_frame(&mut self, ty: u8, payload: &[u8]) -> Result<()> {
-        let buf = frame(ty, payload);
-        write_all_poll(self.sock, &buf, self.deadline)?;
-        let m = &self.service.metrics;
-        m.net_frames_tx.fetch_add(1, Ordering::Relaxed);
-        m.net_bytes_tx
-            .fetch_add(buf.len() as u64, Ordering::Relaxed);
-        Ok(())
-    }
+/// Write one built frame to a client and count it.
+fn send_frame(
+    sock: &mut TcpStream,
+    service: &Service,
+    buf: &[u8],
+    deadline: Option<Instant>,
+) -> Result<()> {
+    write_all_poll(sock, buf, deadline)?;
+    let m = &service.metrics;
+    m.net_frames_tx.fetch_add(1, Ordering::Relaxed);
+    m.net_bytes_tx
+        .fetch_add(buf.len() as u64, Ordering::Relaxed);
+    Ok(())
 }
 
 impl StreamSink for ConnSink<'_> {
     fn on_plan(&mut self, h: &PlanHeader<'_>) -> Result<()> {
-        let mut p = Vec::new();
-        codec::put_u64(&mut p, h.cost.to_bits());
-        p.push(h.degraded as u8);
-        p.push(source_code(h.source));
-        codec::put_u64(&mut p, h.fingerprint);
-        codec::put_str(&mut p, h.plan_dxl);
-        self.write_frame(FRAME_PLAN, &p)
+        let buf = frame(FRAME_PLAN, |p| {
+            p.reserve(8 + 1 + 1 + 8 + 4 + h.plan_dxl.len());
+            codec::put_u64(p, h.cost.to_bits());
+            p.push(h.degraded as u8);
+            p.push(source_code(h.source));
+            codec::put_u64(p, h.fingerprint);
+            codec::put_str(p, h.plan_dxl);
+        });
+        send_frame(self.sock, self.service, &buf, self.deadline)
     }
 
     fn on_rows(&mut self, rows: &[Row]) -> Result<bool> {
@@ -208,7 +214,8 @@ impl StreamSink for ConnSink<'_> {
             Cancelled::No => {}
         }
         restore.map_err(|e| net_err("set_nonblocking failed", e))?;
-        self.write_frame(FRAME_ROWS, &encode_rows(rows))?;
+        let buf = frame(FRAME_ROWS, |p| encode_rows(p, rows));
+        send_frame(self.sock, self.service, &buf, self.deadline)?;
         self.rows_sent += rows.len() as u64;
         Ok(true)
     }
@@ -326,33 +333,24 @@ impl Conn {
                 if early {
                     m.net_early_closed.fetch_add(1, Ordering::Relaxed);
                 }
-                let mut p = Vec::new();
-                codec::put_u64(&mut p, rows_sent);
-                p.push(streamed as u8);
-                p.push(early as u8);
-                codec::put_u64(&mut p, started.elapsed().as_micros() as u64);
-                let buf = frame(FRAME_DONE, &p);
-                write_all_poll(&mut self.sock, &buf, deadline)?;
-                m.net_frames_tx.fetch_add(1, Ordering::Relaxed);
-                m.net_bytes_tx
-                    .fetch_add(buf.len() as u64, Ordering::Relaxed);
-                Ok(())
+                let buf = frame(FRAME_DONE, |p| {
+                    codec::put_u64(p, rows_sent);
+                    p.push(streamed as u8);
+                    p.push(early as u8);
+                    codec::put_u64(p, started.elapsed().as_micros() as u64);
+                });
+                send_frame(&mut self.sock, &self.service, &buf, deadline)
             }
             Err(e) => self.answer_err(&e, deadline),
         }
     }
 
     fn answer_err(&mut self, e: &OrcaError, deadline: Option<Instant>) -> Result<()> {
-        let mut p = Vec::new();
-        codec::put_str(&mut p, e.kind());
-        codec::put_str(&mut p, e.message());
-        let buf = frame(FRAME_ERR, &p);
-        write_all_poll(&mut self.sock, &buf, deadline)?;
-        let m = &self.service.metrics;
-        m.net_frames_tx.fetch_add(1, Ordering::Relaxed);
-        m.net_bytes_tx
-            .fetch_add(buf.len() as u64, Ordering::Relaxed);
-        Ok(())
+        let buf = frame(FRAME_ERR, |p| {
+            codec::put_str(p, e.kind());
+            codec::put_str(p, e.message());
+        });
+        send_frame(&mut self.sock, &self.service, &buf, deadline)
     }
 }
 
@@ -538,18 +536,16 @@ impl ServiceClient {
         deadline: Option<Duration>,
         limit: Option<u64>,
     ) -> Result<ClientResponse> {
-        let mut p = Vec::new();
-        codec::put_u64(
-            &mut p,
-            deadline.map_or(0, |d| (d.as_millis() as u64).max(1)),
-        );
-        codec::put_str(&mut p, dxl);
-        self.write_frame(FRAME_REQ, &p)?;
+        self.write_frame(&frame(FRAME_REQ, |p| {
+            p.reserve(8 + 4 + dxl.len());
+            codec::put_u64(p, deadline.map_or(0, |d| (d.as_millis() as u64).max(1)));
+            codec::put_str(p, dxl);
+        }))?;
         let wall = deadline.map(|d| Instant::now() + d + CLIENT_GRACE);
 
         let mut cancelled = false;
         if limit == Some(0) {
-            self.write_frame(FRAME_CANCEL, &[])?;
+            self.write_frame(&frame(FRAME_CANCEL, |_| {}))?;
             cancelled = true;
         }
 
@@ -572,7 +568,7 @@ impl ServiceClient {
                     rows.extend(decode_rows(&payload)?);
                     if let Some(limit) = limit {
                         if !cancelled && rows.len() as u64 >= limit {
-                            self.write_frame(FRAME_CANCEL, &[])?;
+                            self.write_frame(&frame(FRAME_CANCEL, |_| {}))?;
                             cancelled = true;
                         }
                     }
@@ -598,10 +594,9 @@ impl ServiceClient {
         }
     }
 
-    fn write_frame(&mut self, ty: u8, payload: &[u8]) -> Result<()> {
-        let buf = frame(ty, payload);
+    fn write_frame(&mut self, buf: &[u8]) -> Result<()> {
         self.sock
-            .write_all(&buf)
+            .write_all(buf)
             .map_err(|e| net_err("write failed", e))
     }
 
@@ -712,6 +707,19 @@ mod tests {
     }
 
     #[test]
+    fn frames_keep_their_wire_layout() {
+        // `[len: u32 LE][type: u8][payload]`, the length counting the
+        // type byte: what the frame reader decodes.
+        let done = frame(FRAME_DONE, |p| p.extend_from_slice(&[7, 8, 9]));
+        assert_eq!(done, [4, 0, 0, 0, FRAME_DONE, 7, 8, 9]);
+        assert_eq!(frame(FRAME_CANCEL, |_| {}), [1, 0, 0, 0, FRAME_CANCEL]);
+        let rows = vec![vec![Datum::Int(3)], vec![Datum::Null]];
+        let buf = frame(FRAME_ROWS, |p| encode_rows(p, &rows));
+        assert_eq!(buf[..4], ((buf.len() - 4) as u32).to_le_bytes());
+        assert_eq!(decode_rows(&buf[5..]).unwrap(), rows);
+    }
+
+    #[test]
     fn tcp_round_trip_matches_in_process() {
         let (svc, dxl) = serial_streaming_service(64);
 
@@ -735,11 +743,14 @@ mod tests {
         assert_eq!(resp.done.rows, 64);
         assert!(!resp.done.early);
 
-        // A second request reuses the same connection and session.
+        // A second request reuses the same connection and session; the
+        // first TCP hit aliased the text, so this one skips the parse.
         let again = client.submit(&dxl, None).unwrap();
         assert_eq!(again.rows, expected);
+        assert_eq!(again.plan.plan_dxl, inproc.plan_dxl);
 
         let st = svc.stats();
+        assert_eq!(st.cache_text_hits, 1);
         assert_eq!(st.net_connections, 1);
         assert_eq!(st.net_requests, 2);
         assert!(st.net_frames_tx >= 6); // 2 × (plan + ≥1 rows + done)

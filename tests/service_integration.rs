@@ -1,6 +1,7 @@
 //! Integration tests of the serving layer (`orca-service`): deadline
 //! semantics of the underlying `optimize_with_deadline`, end-to-end plan
-//! cache invalidation via `bump_table_version`, the degradation ladder,
+//! cache invalidation via `bump_table_version`, the degradation ladder
+//! (and that no degraded answer is aliased in the text index),
 //! a concurrent submit-while-bumping hammer, and byte identity of cached
 //! plans with fresh optimizations over a suite corpus.
 
@@ -252,6 +253,41 @@ fn zero_budget_degrades_to_fallback_plan() {
     let fresh = svc.submit_query(session, &query, None).expect("fresh");
     assert_eq!(fresh.response.source, PlanSource::Fresh);
     assert!(!fresh.response.degraded);
+}
+
+/// Degraded answers (a fallback plan or a truncated search's best so
+/// far) are never cached, so their request text is never aliased: the
+/// text keeps taking the parse path until a full optimization is cached
+/// and hit.
+#[test]
+fn degraded_responses_are_never_aliased() {
+    let provider = tpcds_env();
+    let (query, _, _) = compile_query(&provider, SEVEN_WAY_JOIN);
+    let dxl = query_to_dxl(&query);
+    let svc = Service::new(provider, ServiceConfig::default());
+    let session = svc.open_session();
+    for budget_us in [0u64, 0, 20, 50, 100] {
+        let t = svc
+            .submit_with_deadline(session, &dxl, Some(Duration::from_micros(budget_us)))
+            .expect("degraded, not failed");
+        assert!(t.response.degraded, "budget {budget_us} µs");
+        assert_eq!(svc.cache().aliases(), 0);
+    }
+    assert!(svc.cache().is_empty());
+    let fresh = svc.submit(session, &dxl).expect("fresh").response;
+    assert_eq!(fresh.source, PlanSource::Fresh);
+    assert!(!fresh.degraded);
+    assert_eq!(svc.cache().aliases(), 0);
+    // The first hit aliases the text; the second is served from it.
+    for _ in 0..2 {
+        let hit = svc.submit(session, &dxl).expect("hit").response;
+        assert_eq!(hit.source, PlanSource::Cache);
+        assert_eq!(hit.plan_dxl, fresh.plan_dxl);
+    }
+    assert_eq!(svc.cache().aliases(), 1);
+    let stats = svc.stats();
+    assert_eq!(stats.cache_text_hits, 1);
+    assert_eq!(stats.cache_hits, 2);
 }
 
 /// Admission control sheds load past the queue: with one slot, zero queue
