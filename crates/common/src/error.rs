@@ -66,6 +66,26 @@ impl OrcaError {
         }
     }
 
+    /// The inverse of [`OrcaError::kind`]: rebuild a variant from its
+    /// category and message (an unknown category becomes `Execution`).
+    pub fn from_kind(kind: &str, msg: String) -> OrcaError {
+        match kind {
+            "parse" => OrcaError::Parse(msg),
+            "bind" => OrcaError::Bind(msg),
+            "metadata" => OrcaError::Metadata(msg),
+            "dxl" => OrcaError::Dxl(msg),
+            "internal" => OrcaError::Internal(msg),
+            "noplan" => OrcaError::NoPlan(msg),
+            "aborted" => OrcaError::Aborted(msg),
+            "timeout" => OrcaError::Timeout(msg),
+            "oom" => OrcaError::OutOfMemory(msg),
+            "net" => OrcaError::Net(msg),
+            "unsupported" => OrcaError::Unsupported(msg),
+            "injected" => OrcaError::InjectedFault(msg),
+            _ => OrcaError::Execution(msg),
+        }
+    }
+
     pub fn message(&self) -> &str {
         match self {
             OrcaError::Parse(m)
@@ -106,6 +126,21 @@ macro_rules! err {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_kind_inverts_kind() {
+        for e in [
+            OrcaError::Parse("p".into()),
+            OrcaError::Timeout("t".into()),
+            OrcaError::OutOfMemory("o".into()),
+            OrcaError::Net("n".into()),
+            OrcaError::InjectedFault("i".into()),
+        ] {
+            assert_eq!(OrcaError::from_kind(e.kind(), e.message().into()), e);
+        }
+        let unknown = OrcaError::from_kind("bogus", "m".into());
+        assert_eq!(unknown, OrcaError::Execution("m".into()));
+    }
 
     #[test]
     fn display_and_kind() {

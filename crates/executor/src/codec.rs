@@ -245,7 +245,9 @@ pub fn decode_batch(buf: &[u8]) -> Result<ColumnBatch> {
 pub fn decode_batch_from(c: &mut Cursor<'_>) -> Result<ColumnBatch> {
     let nrows = c.u32()? as usize;
     let ncols = c.u32()? as usize;
-    let mut cols = Vec::with_capacity(ncols);
+    // Every column takes at least its tag byte: a corrupt count must not
+    // size the allocation.
+    let mut cols = Vec::with_capacity(ncols.min(c.buf.len() - c.pos));
     for _ in 0..ncols {
         let col = match c.u8()? {
             TAG_NULL => Column::Null(nrows),

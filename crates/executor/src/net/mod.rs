@@ -3,19 +3,17 @@
 //! The paper runs Orca as a standalone process that exchanges queries
 //! and plans with remote database hosts over DXL; execution itself is
 //! distributed across segment hosts linked by an interconnect. This
-//! module supplies the missing network layer for the simulated cluster:
+//! module supplies that network layer for the simulated cluster:
 //!
 //! * [`frame`] — a length-prefixed frame codec for the interconnect's
-//!   `Msg { Open, Batch, Eos }` protocol. Batches travel in the shared
-//!   [`crate::codec`] columnar layout, so dictionary-encoded string
-//!   columns cross the wire without decoding, and the simulated-clock
+//!   `Msg { Open, Batch, Eos }` protocol plus a query-wide `Abort`. Every
+//!   frame carries its edge's [`EndpointKey`]; batches travel in the
+//!   shared [`crate::codec`] columnar layout, and the simulated-clock
 //!   fields ride as bit-exact `f64`s.
-//! * [`transport`] — a TCP transport behind the same sender surface as
-//!   in-process edges: per-edge connections with a `{query, motion,
-//!   sender, receiver}` handshake, a reader thread per connection that
-//!   fills the receiving instance's mailbox slot, abort/deadline
-//!   propagation via control frames, and capped-exponential-backoff
-//!   connects that exhaust into a typed [`orca_common::OrcaError::Net`].
+//! * [`transport`] — one persistent TCP connection per peer pair, dialed
+//!   on first use and shared by every edge of every query, with one
+//!   reader thread per connection that routes each frame to its
+//!   registered mailbox slot (or parks it until the edge registers).
 //! * [`ClusterTopology`] — the static map from segment to owning peer
 //!   process. Edges whose two instances land on the same peer deliver
 //!   straight into the receiver's mailbox; a single-peer topology
@@ -38,10 +36,11 @@ pub const RESULT_MOTION: u32 = u32::MAX;
 /// Tunables for the TCP transport.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Total budget for connect retries (capped exponential backoff).
+    /// Budget for dialing a peer (capped exponential backoff).
     pub connect_timeout: Duration,
-    /// How long a connection may sit between handshake and ack — covers
-    /// the window where the remote run has not yet registered the edge.
+    /// How long a frame may wait to reach its edge: parked until the edge
+    /// is registered (then it is dropped and its sender's query aborted),
+    /// or half-written on a stalled socket (then the connection is lost).
     pub handshake_timeout: Duration,
 }
 
@@ -59,7 +58,7 @@ impl Default for NetConfig {
 /// Whole segments are assigned to peers, so everything keyed by segment
 /// (spool partitions, storage shards, spooled CTEs) stays
 /// process-local; only motion edges whose sender and receiver segments
-/// live on different peers become TCP connections. Peer `0` is the
+/// live on different peers cross a socket. Peer `0` is the
 /// coordinator — it parses the query, runs the optimizer, and owns the
 /// result cursor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,7 +142,7 @@ impl NetShared {
 /// in-process).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetStats {
-    /// Frames written to sockets (handshakes, acks, data).
+    /// Data frames written to sockets.
     pub frames_tx: u64,
     /// Frames read off sockets.
     pub frames_rx: u64,
@@ -151,11 +150,12 @@ pub struct NetStats {
     pub bytes_tx: u64,
     /// Bytes read off sockets.
     pub bytes_rx: u64,
-    /// Failed connect attempts that were retried with backoff.
+    /// Redials of a pooled peer connection that had failed.
     pub reconnects: u64,
-    /// Backoff sleeps taken while connecting.
+    /// Backoff sleeps taken while dialing.
     pub backoff_waits: u64,
-    /// Worst handshake→ack round trip, in wall seconds.
+    /// Longest dial of a newly opened peer connection, in wall seconds
+    /// (0 when every edge reused a pooled one).
     pub open_rtt_max_seconds: f64,
     /// Motion-edge instances that crossed process boundaries.
     pub remote_edges: u64,
@@ -172,8 +172,9 @@ pub struct NetMotionCounters {
     pub bytes_rx: AtomicU64,
 }
 
-/// One process's handle on the cluster: its rendezvous server plus its
-/// own peer id. Peer `0` is the coordinator.
+/// One process's handle on the cluster: its server (listener, peer
+/// connections and edge registry) plus its own peer id. Peer `0` is the
+/// coordinator.
 pub struct NetNode {
     pub server: NetServer,
     pub me: usize,

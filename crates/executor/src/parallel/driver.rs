@@ -27,8 +27,7 @@ use crate::columnar::{cexec, ColStream};
 use crate::engine::project_cols;
 use crate::exec::{ExecCtx, ExecStats};
 use crate::net::{
-    ClusterTopology, EndpointKey, NetConfig, NetMotionCounters, NetNode, NetSender, NetShared,
-    RESULT_MOTION,
+    ClusterTopology, EndpointKey, NetMotionCounters, NetNode, NetShared, RESULT_MOTION,
 };
 use crate::parallel::interconnect::{
     read_slot, receive_stream, send_stream, BatchPool, Mailbox, MotionCounters, Msg, MsgSender,
@@ -55,8 +54,6 @@ pub struct ParallelConfig {
     pub batch_rows: usize,
     /// Overall execution deadline, enforced via the abort signal.
     pub deadline: Option<Duration>,
-    /// Socket-transport tunables, used only by distributed runs.
-    pub net: NetConfig,
 }
 
 impl Default for ParallelConfig {
@@ -67,7 +64,6 @@ impl Default for ParallelConfig {
                 .unwrap_or(1),
             batch_rows: 256,
             deadline: None,
-            net: NetConfig::default(),
         }
     }
 }
@@ -215,16 +211,15 @@ impl<'a> ParallelEngine<'a> {
             node,
             topo,
             query_id,
-            net_cfg: self.cfg.net.clone(),
         };
         let mut result = self.run_inner(plan, output_cols, abort, Some(&dist));
         if self.cfg.deadline.is_some() {
             abort.clear_deadline();
         }
-        // A local failure is broadcast to every peer connection of this
-        // query so remote gangs drain promptly instead of waiting out
-        // their deadlines; either way this query's network state is torn
-        // down before returning.
+        // A local failure is broadcast to every pooled peer so remote
+        // gangs drain promptly instead of waiting out their deadlines;
+        // either way this query's registrations are dropped before
+        // returning.
         if let Err(e) = &result {
             node.server.abort_query(query_id, e);
         }
@@ -315,8 +310,8 @@ impl<'a> ParallelEngine<'a> {
             result_inboxes[s] = Some(Arc::new(Mailbox::new(1, gang.hook(None))));
         }
         if let Some(d) = dist {
-            // Register every inbound remote edge before dialing out, so
-            // peers' handshakes can complete.
+            // Register every inbound remote edge; frames a faster peer
+            // already sent are handed over from the server's parking.
             for (m, row) in inboxes.iter().enumerate() {
                 for (r, inbox) in row.iter().enumerate() {
                     let Some(inbox) = inbox else { continue };
@@ -325,6 +320,7 @@ impl<'a> ParallelEngine<'a> {
                             d.key(m as u32, s, r),
                             Arc::clone(inbox),
                             s,
+                            &d.topo.peers[d.topo.owner(s)],
                             Arc::clone(&net_counters[m]),
                             Arc::clone(&net_shared),
                         );
@@ -337,6 +333,7 @@ impl<'a> ParallelEngine<'a> {
                         d.key(RESULT_MOTION, s, 0),
                         Arc::clone(inbox),
                         0,
+                        &d.topo.peers[d.topo.owner(s)],
                         Arc::clone(&result_counters),
                         Arc::clone(&net_shared),
                     );
@@ -344,7 +341,7 @@ impl<'a> ParallelEngine<'a> {
             }
         }
         // Each sender instance's edges: the local receivers' mailbox
-        // slots, or a connection to the peer hosting the receiver.
+        // slots, or the pooled connection to the peer hosting the receiver.
         for task in &mut tasks {
             let seg = task.seg;
             if let Some(m) = task.slice.output {
@@ -772,7 +769,6 @@ struct DistRun<'a> {
     node: &'a NetNode,
     topo: &'a ClusterTopology,
     query_id: u64,
-    net_cfg: NetConfig,
 }
 
 impl DistRun<'_> {
@@ -785,7 +781,7 @@ impl DistRun<'_> {
         }
     }
 
-    /// Dial the edge `key` on `peer`, registered for abort broadcast.
+    /// The edge `key` to `peer`, over this node's pooled connection.
     fn connect(
         &self,
         peer: usize,
@@ -794,15 +790,13 @@ impl DistRun<'_> {
         counters: &Arc<NetMotionCounters>,
         shared: &Arc<NetShared>,
     ) -> Result<MsgSender> {
-        let tx = NetSender::connect(
+        let tx = self.node.server.sender(
             &self.topo.peers[peer],
             key,
-            &self.net_cfg,
             abort,
             Arc::clone(counters),
             Arc::clone(shared),
         )?;
-        tx.register(&self.node.server, self.query_id);
         Ok(MsgSender::Net(tx))
     }
 }
@@ -888,6 +882,7 @@ fn abort_once(first_err: &Mutex<Option<OrcaError>>, abort: &AbortSignal, err: Or
 mod tests {
     use super::*;
     use crate::engine::ExecEngine;
+    use crate::net::NetConfig;
     use crate::storage::Row;
     use orca_catalog::{ColumnMeta, Distribution, TableDesc};
     use orca_common::{ColId, DataType, Datum, MdId, SysId};
@@ -965,7 +960,6 @@ mod tests {
                 workers,
                 batch_rows: 7, // deliberately odd, exercises batching
                 deadline: None,
-                net: NetConfig::default(),
             };
             let par = ParallelEngine::with_config(db, cfg)
                 .run(plan, out_cols)
@@ -985,7 +979,7 @@ mod tests {
     }
 
     /// Run the same plan as a real loopback-TCP cluster: each peer is a
-    /// thread with its own rendezvous server, sharing the database the
+    /// thread with its own server, sharing the database the
     /// way separate processes would share identically-loaded storage.
     /// Returns every peer's result, coordinator first.
     fn run_loopback(
@@ -998,7 +992,7 @@ mod tests {
     ) -> Vec<Result<ParallelResult>> {
         let n = db.cluster.num_segments;
         let nodes: Vec<NetNode> = (0..npeers)
-            .map(|me| NetNode::bind("127.0.0.1:0", me, cfg.net.clone()).unwrap())
+            .map(|me| NetNode::bind("127.0.0.1:0", me, NetConfig::default()).unwrap())
             .collect();
         let peers: Vec<String> = nodes.iter().map(|nd| nd.addr().to_string()).collect();
         let topo = ClusterTopology::round_robin(peers, n);
@@ -1168,7 +1162,6 @@ mod tests {
             // Already expired when the gang starts: the run must still
             // tear down promptly rather than hang on a socket.
             deadline: Some(Duration::ZERO),
-            ..ParallelConfig::default()
         };
         let results = run_loopback(&db, &plan, &[ColId(0)], 2, &cfg, 300);
         // Every peer must come back (no hang); the coordinator reports
@@ -1196,7 +1189,7 @@ mod tests {
         };
         let coord = NetNode::bind("127.0.0.1:0", 0, net.clone()).unwrap();
         // The "dead" peer: bound and accepting, but it never runs the
-        // query, so handshakes are never acknowledged.
+        // query, so the frames sent to it are never claimed.
         let ghost = NetNode::bind("127.0.0.1:0", 1, net.clone()).unwrap();
         let topo = ClusterTopology::round_robin(
             vec![coord.addr().to_string(), ghost.addr().to_string()],
@@ -1204,7 +1197,6 @@ mod tests {
         );
         let cfg = ParallelConfig {
             workers: 2,
-            net,
             ..ParallelConfig::default()
         };
         let err = ParallelEngine::with_config(&db, cfg)
@@ -1389,7 +1381,6 @@ mod tests {
             workers: 2,
             batch_rows: 1,
             deadline: None,
-            net: NetConfig::default(),
         };
         let engine = ParallelEngine::with_config(&db, cfg);
         let abort = Arc::new(AbortSignal::new());
@@ -1439,7 +1430,6 @@ mod tests {
                     workers: 1 + i % 4,
                     batch_rows: 1,
                     deadline: None,
-                    net: NetConfig::default(),
                 };
                 let abort = Arc::new(AbortSignal::new());
                 let cancel = ((i / 8) % 2 == 1).then(|| {
@@ -1500,7 +1490,6 @@ mod tests {
                 workers: 1 + i % 4,
                 batch_rows: 1,
                 deadline: None,
-                net: NetConfig::default(),
             };
             let err = ParallelEngine::with_config(&db, cfg)
                 .run(&plan, &[ColId(0)])
@@ -1537,7 +1526,6 @@ mod tests {
             workers: 1,
             batch_rows: 1,
             deadline: Some(Duration::from_nanos(1)),
-            net: NetConfig::default(),
         };
         let err = ParallelEngine::with_config(&db, cfg)
             .run(&plan, &[ColId(0)])

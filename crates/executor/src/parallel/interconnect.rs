@@ -4,8 +4,9 @@
 //! per sender instance. A slot carries a short protocol: `Open(layout)`,
 //! zero or more `Batch` messages of up to `batch_rows` rows, then `Eos`.
 //! A sender task routes its finished stream straight into the receivers'
-//! mailboxes, or over a TCP connection ([`crate::net`]) whose reader
-//! thread fills the same mailbox type on the receiving peer. Slots are
+//! mailboxes, or as keyed frames over the one pooled TCP connection to
+//! the receiving peer ([`crate::net`]), whose reader thread fills the
+//! same mailbox type there. Slots are
 //! unbounded, so a send never waits on a receiver; and the driver runs a
 //! receiving task only once every slot of its mailboxes holds its `Eos`,
 //! so a receive never waits either. A mailbox reports its completion —
@@ -115,8 +116,8 @@ impl Mailbox {
 }
 
 /// The sending half of one directed motion edge: the receiving
-/// instance's mailbox slot when it lives in this process, or a TCP
-/// connection when it lives in another.
+/// instance's mailbox slot when it lives in this process, or the edge's
+/// key on the pooled connection to its peer when it lives in another.
 pub enum MsgSender {
     Mailbox(Arc<Mailbox>, usize),
     Net(NetSender),

@@ -10,12 +10,11 @@
 //! take turns (`ONE_AT_A_TIME`) so neither counts the other's threads.
 #![cfg(target_os = "linux")]
 
-use orca_catalog::{ColumnMeta, Distribution, TableDesc};
-use orca_common::{ColId, DataType, Datum, MdId, SegmentConfig, SysId};
-use orca_executor::{Cursor, CursorOptions, Database, ParallelConfig, ParallelEngine, Row};
-use orca_expr::logical::{AggStage, TableRef};
-use orca_expr::physical::{MotionKind, PhysicalOp, PhysicalPlan};
-use orca_expr::scalar::{AggFunc, ScalarExpr};
+mod common;
+
+use common::{split_agg, table, threads};
+use orca_common::ColId;
+use orca_executor::{Cursor, CursorOptions, ParallelConfig, ParallelEngine};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -23,74 +22,6 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn one_at_a_time() -> MutexGuard<'static, ()> {
     ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn threads() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("no Threads: line in /proc/self/status")
-}
-
-/// Two-stage aggregation across two redistributions, gathered: 4 slices.
-fn split_agg(t: &TableRef) -> PhysicalPlan {
-    let scan = PhysicalPlan::leaf(PhysicalOp::TableScan {
-        table: t.clone(),
-        cols: vec![ColId(0), ColId(1)],
-        parts: None,
-    });
-    let motion = |kind, child| PhysicalPlan::new(PhysicalOp::Motion { kind }, vec![child]);
-    let agg = |stage, in_col, out_col, child| {
-        PhysicalPlan::new(
-            PhysicalOp::HashAgg {
-                group_cols: vec![ColId(0)],
-                aggs: vec![(
-                    out_col,
-                    ScalarExpr::Agg {
-                        func: AggFunc::Sum,
-                        arg: Some(Box::new(ScalarExpr::ColRef(in_col))),
-                        distinct: false,
-                    },
-                )],
-                stage,
-            },
-            vec![child],
-        )
-    };
-    let local = agg(
-        AggStage::Local,
-        ColId(1),
-        ColId(11),
-        motion(MotionKind::Redistribute(vec![ColId(1)]), scan),
-    );
-    let global = agg(
-        AggStage::Global,
-        ColId(11),
-        ColId(10),
-        motion(MotionKind::Redistribute(vec![ColId(0)]), local),
-    );
-    motion(MotionKind::Gather, global)
-}
-
-/// A 4-segment table of 2000 rows `(i % 50, i)`.
-fn table() -> (Database, TableRef) {
-    let mut db = Database::new(SegmentConfig::default().with_segments(4));
-    let t = Arc::new(TableDesc::new(
-        MdId::new(SysId::Gpdb, 1, 1),
-        "t",
-        vec![
-            ColumnMeta::new("a", DataType::Int),
-            ColumnMeta::new("b", DataType::Int),
-        ],
-        Distribution::Hashed(vec![0]),
-    ));
-    let rows: Vec<Row> = (0..2000)
-        .map(|i| vec![Datum::Int(i % 50), Datum::Int(i)])
-        .collect();
-    db.load_table(t.clone(), rows).unwrap();
-    (db, TableRef(t))
 }
 
 #[test]

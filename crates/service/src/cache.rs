@@ -41,11 +41,13 @@ use std::sync::Arc;
 /// produced it.
 #[derive(Debug)]
 pub struct CachedPlan {
-    pub plan_dxl: String,
+    /// Shared with every response that serves this entry.
+    pub plan_dxl: Arc<str>,
     /// The physical plan itself, executable as-is on a cache hit.
     pub plan: PhysicalPlan,
     pub cost: f64,
-    pub stats: OptStats,
+    /// Shared with every response that serves this entry.
+    pub stats: Arc<OptStats>,
 }
 
 impl CachedPlan {
@@ -286,13 +288,13 @@ mod tests {
 
     fn plan(text: &str) -> Arc<CachedPlan> {
         Arc::new(CachedPlan {
-            plan_dxl: text.to_string(),
+            plan_dxl: text.into(),
             plan: PhysicalPlan::leaf(orca_expr::physical::PhysicalOp::ConstTable {
                 cols: Vec::new(),
                 rows: Vec::new(),
             }),
             cost: 1.0,
-            stats: OptStats::default(),
+            stats: Arc::default(),
         })
     }
 

@@ -217,8 +217,9 @@ pub enum PlanSource {
 /// The service's answer to one submitted query.
 #[derive(Debug, Clone)]
 pub struct PlanResponse {
-    /// Serialized DXL plan document (Figure 2's output message).
-    pub plan_dxl: String,
+    /// Serialized DXL plan document (Figure 2's output message); a cache
+    /// hit shares the cached entry's.
+    pub plan_dxl: Arc<str>,
     pub cost: f64,
     /// The plan is best-effort: a truncated search's best-so-far result or
     /// the fallback planner's heuristic, not the exhaustive optimum.
@@ -232,8 +233,9 @@ pub struct PlanResponse {
     /// End-to-end service latency for this request.
     pub latency: Duration,
     /// Diagnostics of the optimization that produced the plan (`None` for
-    /// fallback plans; for cache hits, the stats of the original run).
-    pub stats: Option<OptStats>,
+    /// fallback plans; for cache hits, the stats of the original run,
+    /// shared with the cache entry).
+    pub stats: Option<Arc<OptStats>>,
     /// Result of executing the plan, when the service is configured with
     /// an [`ExecuteConfig`] and a database is attached.
     pub execution: Option<ExecSummary>,
@@ -599,10 +601,12 @@ impl Service {
 
         match result {
             Ok((plan, stats)) => {
-                let plan_dxl = plan_to_dxl(&DxlPlan {
+                let plan_dxl: Arc<str> = plan_to_dxl(&DxlPlan {
                     plan: plan.clone(),
                     cost: stats.plan_cost,
-                });
+                })
+                .into();
+                let stats = Arc::new(stats);
                 let degraded = stats.timed_out;
                 if degraded {
                     // Best-so-far from a truncated search: usable, but not
@@ -614,10 +618,10 @@ impl Service {
                         fingerprint,
                         stats.md_ids.clone(),
                         Arc::new(CachedPlan {
-                            plan_dxl: plan_dxl.clone(),
+                            plan_dxl: Arc::clone(&plan_dxl),
                             plan: plan.clone(),
                             cost: stats.plan_cost,
-                            stats: stats.clone(),
+                            stats: Arc::clone(&stats),
                         }),
                     );
                 }
@@ -670,14 +674,14 @@ impl Service {
         let execution = self.maybe_execute(&cached.plan, output_cols, cached.cost, sink)?;
         let latency = req.started.elapsed();
         Ok(req.ticket(PlanResponse {
-            plan_dxl: cached.plan_dxl.clone(),
+            plan_dxl: Arc::clone(&cached.plan_dxl),
             cost: cached.cost,
             degraded: false,
             source: PlanSource::Cache,
             fingerprint,
             queue_wait: Duration::ZERO,
             latency,
-            stats: Some(cached.stats.clone()),
+            stats: Some(Arc::clone(&cached.stats)),
             execution,
         }))
     }
@@ -737,7 +741,7 @@ impl Service {
         let execution = self.maybe_execute(&plan, &query.output_cols, cost, sink)?;
         let latency = req.started.elapsed();
         Ok(req.ticket(PlanResponse {
-            plan_dxl,
+            plan_dxl: plan_dxl.into(),
             cost,
             degraded: true,
             source: PlanSource::Fallback,

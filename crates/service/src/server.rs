@@ -737,7 +737,7 @@ mod tests {
         let resp = client.submit(&dxl, None).unwrap();
 
         assert_eq!(resp.plan.source, PlanSource::Cache);
-        assert_eq!(resp.plan.plan_dxl, inproc.plan_dxl);
+        assert_eq!(resp.plan.plan_dxl, *inproc.plan_dxl);
         assert_eq!(resp.plan.fingerprint, inproc.fingerprint);
         assert_eq!(resp.rows, expected);
         assert_eq!(resp.done.rows, 64);
@@ -747,7 +747,7 @@ mod tests {
         // first TCP hit aliased the text, so this one skips the parse.
         let again = client.submit(&dxl, None).unwrap();
         assert_eq!(again.rows, expected);
-        assert_eq!(again.plan.plan_dxl, inproc.plan_dxl);
+        assert_eq!(again.plan.plan_dxl, *inproc.plan_dxl);
 
         let st = svc.stats();
         assert_eq!(st.cache_text_hits, 1);

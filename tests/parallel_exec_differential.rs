@@ -264,7 +264,6 @@ proptest! {
                 workers,
                 batch_rows: 7,
                 deadline: None,
-                ..ParallelConfig::default()
             });
             let par = engine.run(&plan, &output).expect("parallel");
             prop_assert_eq!(
@@ -320,7 +319,6 @@ fn empty_streams_are_identical_across_kernels() {
             workers: 2,
             batch_rows: 7,
             deadline: None,
-            ..ParallelConfig::default()
         },
     );
     let par = engine.run(&plan, &output).expect("parallel");
@@ -362,7 +360,6 @@ fn mid_query_abort_drains_without_deadlock() {
             workers: 2,
             batch_rows: 1,
             deadline: None,
-            ..ParallelConfig::default()
         },
     );
     let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -392,7 +389,6 @@ fn deadline_under_backpressure_times_out_cleanly() {
             workers: 2,
             batch_rows: 1,
             deadline: Some(Duration::ZERO),
-            ..ParallelConfig::default()
         },
     );
     let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -469,7 +465,6 @@ fn assert_spooled_identical(
                 workers,
                 batch_rows: 7,
                 deadline: None,
-                ..ParallelConfig::default()
             },
         );
         let par = engine.run(plan, output).expect("parallel");
@@ -605,7 +600,6 @@ fn tiny_interconnect_window_still_completes() {
             workers: 1,
             batch_rows: 1,
             deadline: Some(Duration::from_secs(60)),
-            ..ParallelConfig::default()
         },
     );
     let par = engine.run(&plan, &output).expect("parallel");
@@ -767,7 +761,6 @@ proptest! {
                 workers,
                 batch_rows: 7,
                 deadline: None,
-                ..ParallelConfig::default()
             });
             let par = engine.run(&plan, &output).expect("parallel");
             prop_assert_eq!(

@@ -166,7 +166,7 @@ fn concurrent_submissions_survive_version_bumps() {
 
     const THREADS: usize = 8;
     const ROUNDS: usize = 20;
-    let plans: Vec<String> = std::thread::scope(|scope| {
+    let plans: Vec<Arc<str>> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..THREADS {
             let svc = svc.clone();
@@ -388,7 +388,7 @@ fn cached_suite_plans_match_fresh_optimization() {
     );
     let session = svc.open_session();
     let texts: Vec<String> = corpus.iter().map(|(_, q)| query_to_dxl(q)).collect();
-    let cached: Vec<String> = texts
+    let cached: Vec<Arc<str>> = texts
         .iter()
         .map(|dxl| {
             let t = svc.submit(session, dxl).expect("cold submit");
@@ -417,6 +417,9 @@ fn cached_suite_plans_match_fresh_optimization() {
             plan: fresh,
             cost: opt.plan_cost,
         });
-        assert_eq!(&fresh, plan, "{id}: cached DXL differs from a fresh plan");
+        assert_eq!(
+            &fresh, &**plan,
+            "{id}: cached DXL differs from a fresh plan"
+        );
     }
 }
