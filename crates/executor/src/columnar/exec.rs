@@ -26,6 +26,7 @@ use orca_expr::logical::{AggStage, JoinKind, SetOpKind};
 use orca_expr::physical::{MotionKind, PhysicalOp, PhysicalPlan};
 use orca_expr::scalar::{CmpOp, ScalarExpr};
 use orca_expr::OrderSpec;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::hash::Hasher;
 use std::time::Instant;
@@ -55,28 +56,7 @@ fn cexec_op(plan: &PhysicalPlan, ctx: &mut ExecCtx<'_>) -> Result<ColStream> {
     let n = ctx.seg_slots();
     let bs = ctx.cluster.batch_size.max(1);
     match &plan.op {
-        PhysicalOp::TableScan { table, cols, parts } => {
-            if let Some(fc) = ctx.frag.clone() {
-                return cexec_shared_scan(ctx, &fc, table, cols, parts, None, n, bs);
-            }
-            let t = ctx.db.table(table.mdid)?;
-            let width = cols.len();
-            let mut out = ColStream::empty(cols.clone(), n);
-            out.replicated = t.desc.distribution == orca_catalog::Distribution::Replicated;
-            for s in 0..n {
-                let mut batches = Vec::new();
-                let cloned =
-                    t.scan_columnar_into(ctx.storage_segment(s), parts, bs, &mut batches, || {
-                        ctx.take_shell(width)
-                    });
-                let rows: usize = batches.iter().map(|b| b.len).sum();
-                ctx.stats.scan_bytes_cloned += cloned;
-                ctx.stats.rows_processed += rows as u64;
-                out.avail[s] = ctx.tup_time(rows);
-                out.per_seg[s] = batches;
-            }
-            Ok(out)
-        }
+        PhysicalOp::TableScan { table, cols, parts } => cexec_scan(ctx, table, cols, parts, None),
         PhysicalOp::IndexScan {
             table,
             cols,
@@ -100,31 +80,20 @@ fn cexec_op(plan: &PhysicalPlan, ctx: &mut ExecCtx<'_>) -> Result<ColStream> {
             Ok(out)
         }
         PhysicalOp::Filter { pred } => {
-            // Filter-over-scan with a fragment cache attached: share the
-            // *filtered* fragment, keyed on the interned predicate, so
-            // repeat queries skip both the storage read and the filter.
-            if !pred.has_subquery() {
-                if let Some(fc) = ctx.frag.clone() {
-                    if let PhysicalOp::TableScan { table, cols, parts } = &plan.children[0].op {
-                        return cexec_shared_scan(ctx, &fc, table, cols, parts, Some(pred), n, bs);
-                    }
-                }
-                // No cache attached: fuse the filter into the scan anyway
-                // when every conjunct is zone-testable, so zone maps can
-                // drop whole chunks and dict conjuncts run in code space.
-                if let PhysicalOp::TableScan { table, cols, parts } = &plan.children[0].op {
-                    if conjunct_tests(pred, cols).is_some() {
-                        return cexec_fused_scan(ctx, table, cols, parts, pred, n, bs);
-                    }
-                }
-            }
-            let input = cexec(&plan.children[0], ctx)?;
             if pred.has_subquery() {
                 // Un-decorrelated subquery: per-row subplan execution on
                 // the row path keeps the work accounting identical.
+                let input = cexec(&plan.children[0], ctx)?;
                 let out = apply_filter(input.to_streamset(), pred, ctx)?;
                 return Ok(ColStream::from_streamset(&out, bs));
             }
+            // A filter over a scan fuses into it: zone maps drop whole
+            // chunks, dict conjuncts run in code space, and the filtered
+            // scan is what the fragment cache shares.
+            if let PhysicalOp::TableScan { table, cols, parts } = &plan.children[0].op {
+                return cexec_scan(ctx, table, cols, parts, Some(pred));
+            }
+            let input = cexec(&plan.children[0], ctx)?;
             let mut out = ColStream::empty(input.layout.clone(), n);
             out.replicated = input.replicated;
             for s in 0..n {
@@ -420,134 +389,104 @@ fn cexec_op(plan: &PhysicalPlan, ctx: &mut ExecCtx<'_>) -> Result<ColStream> {
     }
 }
 
-/// A table scan (optionally with a fused filter) through the shared
-/// fragment cache: reuse a resident fragment, or scan and insert it.
+/// The kernel's one table read: a `TableScan`, with the predicate of a
+/// Filter directly above it fused in when `pred` is given.
 ///
-/// Stats and simulated times are *replayed* exactly as the plain
-/// scan(+filter) arms would have accounted them, so an execution with
-/// the cache attached is indistinguishable from one without — same
-/// rows, same `rows_processed`, same `avail` clocks — minus the storage
-/// read. Sharing counters live on the cache itself, never in
-/// [`crate::exec::ExecStats`] (which differential tests assert equal
-/// between kernels).
-#[allow(clippy::too_many_arguments)]
-fn cexec_shared_scan(
+/// A filtered scan goes through the shared fragment cache when one is
+/// attached: a resident fragment is reused, a miss scans and inserts.
+/// An unfiltered scan never probes it: its chunks already leave storage
+/// as `Arc` clones, so a fragment of it would save nothing and only take
+/// budget from the filtered ones.
+///
+/// Cached or fresh, the scan is charged below exactly as the row
+/// kernel's TableScan (plus the Filter over it) charges the same work —
+/// same `rows_processed`, same `avail` clocks — so an execution with the
+/// cache attached is indistinguishable from one without, apart from
+/// `scan_bytes_cloned`, which counts only bytes a scan really copied.
+/// Sharing counters live on the cache itself, never in
+/// [`crate::exec::ExecStats`].
+fn cexec_scan(
     ctx: &mut ExecCtx<'_>,
-    fc: &crate::sharing::FragmentCache,
     table: &orca_expr::logical::TableRef,
     cols: &[ColId],
     parts: &Option<Vec<usize>>,
     pred: Option<&ScalarExpr>,
-    n: usize,
-    bs: usize,
 ) -> Result<ColStream> {
     use crate::sharing::{fragment_fingerprint, Fragment, FragmentKey};
+    let n = ctx.seg_slots();
+    let bs = ctx.cluster.batch_size.max(1);
     let t = ctx.db.table(table.mdid)?;
-    let fingerprint = fragment_fingerprint(cols, parts, bs, pred);
+    let cache = match (&ctx.frag, pred) {
+        (Some(fc), Some(_)) => Some((fc.clone(), fragment_fingerprint(cols, parts, bs, pred))),
+        _ => None,
+    };
+    let scan = |ctx: &mut ExecCtx<'_>, seg| -> Result<ScanOut> {
+        let so = scan_filtered(t, seg, parts, cols, pred, bs, || ctx.take_shell(cols.len()))?;
+        // Only a scan that runs copies: a reuse reads its fragment in place.
+        ctx.stats.scan_bytes_cloned += so.bytes_cloned;
+        Ok(so)
+    };
     let mut out = ColStream::empty(cols.to_vec(), n);
     out.replicated = t.desc.distribution == orca_catalog::Distribution::Replicated;
     for s in 0..n {
         let seg = ctx.storage_segment(s);
-        let key = FragmentKey {
-            table: t.desc.name.clone(),
-            version: t.desc.mdid.version,
-            fingerprint,
-            segment: seg,
-        };
-        let frag = match fc.get(&key) {
-            Some(f) => f,
-            None => {
-                let so =
-                    scan_filtered(t, seg, parts, cols, pred, bs, || ctx.take_shell(cols.len()))?;
-                ctx.stats.scan_bytes_cloned += so.bytes_cloned;
-                fc.insert(
-                    &key,
-                    Fragment::new(so.batches, so.scan_rows, so.scan_batches)
-                        .with_skips(so.chunks_skipped, so.dict_hits),
-                )
+        let resident = match &cache {
+            Some((fc, fingerprint)) => {
+                let key = FragmentKey {
+                    table: t.desc.name.clone(),
+                    version: t.desc.mdid.version,
+                    fingerprint: *fingerprint,
+                    segment: seg,
+                };
+                Some(match fc.get(&key) {
+                    Some(f) => f,
+                    None => fc.insert(&key, Fragment::new(scan(ctx, seg)?)),
+                })
             }
+            None => None,
         };
-        // Replayed accounting — identical to the un-cached TableScan arm
-        // (and, when a predicate fused, the Filter arm on top of it).
-        // Skip counters replay too: a cache hit represents the same
-        // pruned scan.
-        let scanned = frag.scan_rows as usize;
-        ctx.stats.rows_processed += frag.scan_rows;
-        ctx.stats.chunks_skipped += frag.chunks_skipped;
-        ctx.stats.dict_hits += frag.dict_hits;
+        let so = match &resident {
+            Some(f) => Cow::Borrowed(&f.scan),
+            None => Cow::Owned(scan(ctx, seg)?),
+        };
+        let scanned = so.scan_rows as usize;
+        ctx.stats.rows_processed += so.scan_rows;
+        ctx.stats.chunks_skipped += so.chunks_skipped;
+        ctx.stats.dict_hits += so.dict_hits;
         out.avail[s] = ctx.tup_time(scanned);
         if pred.is_some() {
-            ctx.stats.rows_processed += frag.scan_rows;
+            ctx.stats.rows_processed += so.scan_rows;
             out.avail[s] += ctx.tup_time(scanned) * 0.5;
             // The fused scan's share of the per-operator profile (the
             // cexec wrapper only credits the Filter node).
             let p = ctx.stats.ops.entry("TableScan").or_default();
-            p.rows += frag.scan_rows;
-            p.batches += frag.scan_batches;
+            p.rows += so.scan_rows;
+            p.batches += so.scan_batches;
         }
-        out.per_seg[s] = frag.batches.clone();
+        out.per_seg[s] = so.into_owned().batches;
     }
     Ok(out)
 }
 
-/// Fused Filter-over-TableScan without a fragment cache: the
-/// chunk-skipping scan with the Filter arm's accounting stacked on the
-/// TableScan arm's (same clocks and counters the two separate arms
-/// would have charged — skipped chunks included).
-#[allow(clippy::too_many_arguments)]
-fn cexec_fused_scan(
-    ctx: &mut ExecCtx<'_>,
-    table: &orca_expr::logical::TableRef,
-    cols: &[ColId],
-    parts: &Option<Vec<usize>>,
-    pred: &ScalarExpr,
-    n: usize,
-    bs: usize,
-) -> Result<ColStream> {
-    let t = ctx.db.table(table.mdid)?;
-    let width = cols.len();
-    let mut out = ColStream::empty(cols.to_vec(), n);
-    out.replicated = t.desc.distribution == orca_catalog::Distribution::Replicated;
-    for s in 0..n {
-        let so = scan_filtered(
-            t,
-            ctx.storage_segment(s),
-            parts,
-            cols,
-            Some(pred),
-            bs,
-            || ctx.take_shell(width),
-        )?;
-        let scanned = so.scan_rows as usize;
-        ctx.stats.rows_processed += so.scan_rows * 2;
-        ctx.stats.chunks_skipped += so.chunks_skipped;
-        ctx.stats.dict_hits += so.dict_hits;
-        ctx.stats.scan_bytes_cloned += so.bytes_cloned;
-        out.avail[s] = ctx.tup_time(scanned);
-        out.avail[s] += ctx.tup_time(scanned) * 0.5;
-        // The fused scan's share of the per-operator profile (the cexec
-        // wrapper only credits the Filter node).
-        let p = ctx.stats.ops.entry("TableScan").or_default();
-        p.rows += so.scan_rows;
-        p.batches += so.scan_batches;
-        out.per_seg[s] = so.batches;
-    }
-    Ok(out)
-}
-
-/// Output of [`scan_filtered`]: the surviving batches plus the
-/// accounting a plain scan(+filter) of the same chunks would have
-/// produced.
-struct ScanOut {
-    batches: Vec<ColumnBatch>,
-    /// Rows the unpruned scan covers — skipped chunks included, so
-    /// replayed stats match the oracle's full scan.
-    scan_rows: u64,
+/// Output of `scan_filtered` for one segment: the surviving batches
+/// plus the accounting of the unpruned scan(+filter) of the same chunks.
+/// A cached [`crate::sharing::Fragment`] holds one, so a reuse charges
+/// the work of the scan that built it (not its copies).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ScanOut {
+    pub batches: Vec<ColumnBatch>,
+    /// Rows the unpruned scan covers — skipped chunks included, so the
+    /// stats match the oracle's full scan.
+    pub scan_rows: u64,
     /// Batches the unpruned scan would have emitted.
-    scan_batches: u64,
-    chunks_skipped: u64,
-    dict_hits: u64,
-    bytes_cloned: u64,
+    pub scan_batches: u64,
+    /// Chunks dropped via zone maps or dictionary misses.
+    pub chunks_skipped: u64,
+    /// Conjunct evaluations run on dictionary codes.
+    pub dict_hits: u64,
+    /// Logical bytes copied out of chunks (zero when every chunk passed
+    /// whole and zero-copy).
+    pub bytes_cloned: u64,
 }
 
 /// Top-level conjuncts of a predicate.
@@ -721,8 +660,10 @@ fn conjunct_tests<'a>(
 /// conjunct is TRUE on it).
 ///
 /// When a conjunct is not zone-testable, nothing is skipped and the
-/// whole predicate evaluates at once — same work, same errors as the
-/// unfused path.
+/// whole predicate evaluates over every chunk — the rows the row
+/// kernel's Filter evaluates, so the same errors. A chunk whose rows
+/// all survive and fit one batch leaves zero-copy; the rest are copied
+/// into batches of at most `bs` rows.
 fn scan_filtered(
     t: &SegmentedTable,
     segment: usize,
@@ -734,14 +675,7 @@ fn scan_filtered(
 ) -> Result<ScanOut> {
     let bs = bs.max(1);
     let tests = pred.and_then(|p| conjunct_tests(p, layout));
-    let mut out = ScanOut {
-        batches: Vec::new(),
-        scan_rows: 0,
-        scan_batches: 0,
-        chunks_skipped: 0,
-        dict_hits: 0,
-        bytes_cloned: 0,
-    };
+    let mut out = ScanOut::default();
     let mut cand: Vec<u32> = Vec::new();
     'chunks: for chunk in t.part_chunks(segment, parts) {
         let rows = chunk.data.len;
@@ -1754,6 +1688,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The unfiltered scan hands out whole chunks zero-copy when a batch
+    /// holds a chunk, and copies them into smaller batches when it does
+    /// not; both give the table's rows in order.
+    #[test]
+    fn unfiltered_scan_is_zero_copy_and_sliced_scan_agrees() {
+        let d = Arc::new(TableDesc::new(
+            MdId::new(SysId::Gpdb, 3, 1),
+            "z",
+            vec![
+                ColumnMeta::new("k", DataType::Int),
+                ColumnMeta::new("s", DataType::Str),
+            ],
+            Distribution::Singleton,
+        ));
+        let rows: Vec<Row> = (0..10)
+            .map(|i| {
+                vec![
+                    if i == 3 { Datum::Null } else { Datum::Int(i) },
+                    Datum::Str(["b", "a", "c"][i as usize % 3].to_string()),
+                ]
+            })
+            .collect();
+        let mut db = Database::new(orca_common::SegmentConfig::default());
+        db.cluster.batch_size = 4; // chunk size at load time
+        db.load_table(d.clone(), rows.clone()).unwrap();
+        let cols = [ColId(0), ColId(1)];
+        let plan = PhysicalPlan::leaf(PhysicalOp::TableScan {
+            table: TableRef(d),
+            cols: cols.to_vec(),
+            parts: None,
+        });
+        let run = |batch_size| {
+            let mut db = db.clone();
+            db.cluster.batch_size = batch_size;
+            ExecEngine::new(&db).run_columnar(&plan, &cols).unwrap()
+        };
+        let (fast, slow) = (run(1024), run(3));
+        assert_eq!(format!("{:?}", fast.rows), format!("{rows:?}"));
+        assert_eq!(format!("{:?}", slow.rows), format!("{rows:?}"));
+        assert_eq!(
+            fast.stats.ops["TableScan"].batches, 3,
+            "one batch per chunk"
+        );
+        assert_eq!(fast.stats.scan_bytes_cloned, 0, "whole chunks are aliased");
+        assert_eq!(
+            slow.stats.ops["TableScan"].batches, 5,
+            "chunks of 4, 4, 2 at 3"
+        );
+        assert!(slow.stats.scan_bytes_cloned > 0, "sliced chunks are copied");
     }
 
     /// The batch kernel reports the OOM failure with the same message.

@@ -39,7 +39,7 @@ impl<'a> ExecEngine<'a> {
     }
 
     /// Attach a shared fragment cache; subsequent columnar runs probe and
-    /// insert scan fragments through it.
+    /// insert filtered scan fragments through it.
     pub fn with_fragments(
         mut self,
         fragments: std::sync::Arc<crate::sharing::FragmentCache>,

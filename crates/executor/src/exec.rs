@@ -112,8 +112,10 @@ pub struct ExecStats {
     /// Chunk×conjunct predicate evaluations answered on dictionary
     /// codes instead of decoded strings.
     pub dict_hits: u64,
-    /// Logical bytes copied by scans that had to re-slice chunks
-    /// (zero when every scan takes the zero-copy fast path).
+    /// Logical bytes columnar scans copied out of storage chunks: a
+    /// filter that kept part of a chunk, or a batch smaller than a chunk
+    /// (zero when every chunk leaves whole and zero-copy). A
+    /// fragment-cache hit copies nothing and charges nothing.
     pub scan_bytes_cloned: u64,
     /// Spill partitions / sort runs written by memory-governed operators
     /// ([`crate::spill`]); zero when everything fit in its grant.
@@ -165,8 +167,10 @@ pub struct ExecCtx<'a> {
     /// Cooperative cancellation: checked at every operator boundary.
     pub abort: Option<Arc<AbortSignal>>,
     /// Cross-query fragment cache ([`crate::sharing`]). `None` (the
-    /// default) keeps every scan independent — the batch kernel only
-    /// probes/inserts fragments when a cache is attached.
+    /// default) keeps every scan independent. With a cache attached, the
+    /// batch kernel's scan probes and inserts fragments only for a scan
+    /// with a fused filter; an unfiltered scan is already zero-copy and
+    /// never touches the cache.
     pub frag: Option<Arc<crate::sharing::FragmentCache>>,
     /// Nanoseconds attributed to child operators of the operator currently
     /// executing — the bookkeeping behind exclusive-time profiling.

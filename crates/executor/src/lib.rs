@@ -30,8 +30,8 @@
 //!   row). It serves as the correctness oracle for every physical plan and
 //!   doubles as the execution model of engines without decorrelation.
 //! * [`sharing`] — cross-query work sharing: a byte-budgeted shared
-//!   fragment cache of scan results, keyed on (table name, table
-//!   version, predicate/projection fingerprint, segment).
+//!   fragment cache of filtered scan results, keyed on (table name,
+//!   table version, predicate/projection fingerprint, segment).
 //! * [`codec`] — the self-delimiting columnar batch codec shared by
 //!   spill files and the network wire format.
 //! * [`net`] — the socket interconnect: a length-prefixed frame codec

@@ -112,7 +112,7 @@ impl<'a> ParallelEngine<'a> {
     }
 
     /// Attach a shared fragment cache; slice kernels probe and insert
-    /// scan fragments through it.
+    /// filtered scan fragments through it.
     pub fn with_fragments(
         mut self,
         fragments: Arc<crate::sharing::FragmentCache>,

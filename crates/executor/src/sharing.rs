@@ -1,11 +1,17 @@
 //! Cross-query work sharing: the byte-budgeted shared fragment cache.
 //!
-//! Queries that scan the same table fragment — same table *name and
+//! Queries that run the same *filtered* scan — same table *name and
 //! version*, same projection/pruning/predicate fingerprint, same
-//! segment — should read storage once. The cache keys
-//! fragments on [`FragmentKey`], whose [`fragment_fingerprint`] hashes
-//! the fused filter predicate itself, so structurally equal predicates
-//! from different sessions land on one entry.
+//! segment — should read and filter storage once. The columnar kernel's
+//! one scan path (`cexec_scan` in [`crate::columnar::exec`]) consults the
+//! cache only when a Filter fused into the scan: an unfiltered scan's
+//! batches are already `Arc` clones of the table's chunks, so caching
+//! them would save nothing and take budget from the fragments that pay.
+//! The cache keys fragments on [`FragmentKey`], whose
+//! [`fragment_fingerprint`] hashes the fused filter predicate itself, so
+//! structurally equal predicates from different sessions land on one
+//! entry. A [`Fragment`] holds the scan's `ScanOut`, so a reuse charges
+//! the work counters and simulated time the scan that built it charged.
 //!
 //! **Lookup.** A probe that hits reuses the resident fragment. A miss
 //! scans and inserts. Two queries that miss the same key at once both
@@ -22,7 +28,7 @@
 //! byte total exceeds the budget; the just-inserted entry is never
 //! evicted.
 
-use crate::columnar::ColumnBatch;
+use crate::columnar::exec::ScanOut;
 use orca_common::hash::fnv_hash;
 use orca_common::ColId;
 use orca_expr::scalar::ScalarExpr;
@@ -57,24 +63,11 @@ pub fn fragment_fingerprint(
     fnv_hash(&(cols, parts, batch_size, pred))
 }
 
-/// One materialized fragment: the batches a scan (plus optional fused
-/// filter) produced for one segment, with the accounting needed to
-/// replay the work's stats without redoing it.
+/// One materialized fragment: a filtered scan's output for one segment,
+/// with the accounting a reuse charges in place of redoing the scan.
 #[derive(Debug)]
 pub struct Fragment {
-    pub batches: Vec<ColumnBatch>,
-    /// Rows read from storage to build this fragment (≥ the rows in
-    /// `batches` when a filter was fused). Replay charges this to
-    /// `rows_processed` exactly as the real scan would.
-    pub scan_rows: u64,
-    /// Batches the raw scan produced (profile accounting on replay).
-    pub scan_batches: u64,
-    /// Chunks the scan dropped via zone maps / dictionary
-    /// misses, and dict-conjunct evaluations it ran in code space —
-    /// replayed into `ExecStats` on every reuse, since a cache hit
-    /// stands for the same pruned scan.
-    pub chunks_skipped: u64,
-    pub dict_hits: u64,
+    pub(crate) scan: ScanOut,
     /// Resident cost charged against the cache budget: *physical*
     /// bytes, with `Arc`-shared buffers (whole table chunks entering
     /// the fragment zero-copy, dictionary pages shared across batches)
@@ -84,23 +77,14 @@ pub struct Fragment {
 }
 
 impl Fragment {
-    pub fn new(batches: Vec<ColumnBatch>, scan_rows: u64, scan_batches: u64) -> Fragment {
+    pub(crate) fn new(scan: ScanOut) -> Fragment {
         let mut seen = std::collections::HashSet::new();
-        let bytes = batches.iter().map(|b| b.physical_bytes(&mut seen)).sum();
-        Fragment {
-            batches,
-            scan_rows,
-            scan_batches,
-            chunks_skipped: 0,
-            dict_hits: 0,
-            bytes,
-        }
-    }
-
-    pub fn with_skips(mut self, chunks_skipped: u64, dict_hits: u64) -> Fragment {
-        self.chunks_skipped = chunks_skipped;
-        self.dict_hits = dict_hits;
-        self
+        let bytes = scan
+            .batches
+            .iter()
+            .map(|b| b.physical_bytes(&mut seen))
+            .sum();
+        Fragment { scan, bytes }
     }
 }
 
@@ -268,9 +252,15 @@ mod tests {
     use super::*;
     use orca_common::Datum;
 
-    fn batch(vals: &[i64]) -> ColumnBatch {
+    /// A one-batch fragment of an unpruned scan of `vals`.
+    fn frag(vals: &[i64]) -> Fragment {
         let rows: Vec<Vec<Datum>> = vals.iter().map(|v| vec![Datum::Int(*v)]).collect();
-        ColumnBatch::from_rows(&rows, 1)
+        Fragment::new(ScanOut {
+            batches: vec![crate::columnar::ColumnBatch::from_rows(&rows, 1)],
+            scan_rows: vals.len() as u64,
+            scan_batches: 1,
+            ..ScanOut::default()
+        })
     }
 
     fn key(table: &str, version: u32, fp: u64) -> FragmentKey {
@@ -298,9 +288,9 @@ mod tests {
         let cache = FragmentCache::new(1 << 20);
         let k = key("t", 1, 42);
         assert!(cache.get(&k).is_none(), "first probe must miss");
-        cache.insert(&k, Fragment::new(vec![batch(&[1, 2, 3])], 3, 1));
+        cache.insert(&k, frag(&[1, 2, 3]));
         let f = cache.get(&k).expect("second probe must reuse");
-        assert_eq!(f.scan_rows, 3);
+        assert_eq!(f.scan.scan_rows, 3);
         let s = cache.stats();
         assert_eq!((s.inserted, s.reused, s.entries), (1, 1, 1));
         assert!(s.bytes > 0);
@@ -310,9 +300,9 @@ mod tests {
     fn newer_version_purges_older_fragments() {
         let cache = FragmentCache::new(1 << 20);
         let k1 = key("t", 1, 42);
-        cache.insert(&k1, Fragment::new(vec![batch(&[1])], 1, 1));
+        cache.insert(&k1, frag(&[1]));
         let k2 = key("t", 2, 42);
-        cache.insert(&k2, Fragment::new(vec![batch(&[9])], 1, 1));
+        cache.insert(&k2, frag(&[9]));
         let s = cache.stats();
         assert_eq!(s.invalidations, 1);
         assert_eq!(s.entries, 1);
@@ -324,7 +314,7 @@ mod tests {
     fn byte_budget_evicts_lru() {
         let cache = FragmentCache::new(1); // everything over budget
         for fp in 0..3u64 {
-            cache.insert(&key("t", 1, fp), Fragment::new(vec![batch(&[1, 2])], 2, 1));
+            cache.insert(&key("t", 1, fp), frag(&[1, 2]));
         }
         let s = cache.stats();
         assert!(s.evictions >= 2, "evictions={}", s.evictions);
@@ -347,7 +337,7 @@ mod tests {
                     s.spawn(|| {
                         assert!(cache.get(&k).is_none(), "both racers must miss");
                         barrier.wait();
-                        cache.insert(&k, Fragment::new(vec![batch(&[1, 2, 3, 4])], 4, 1))
+                        cache.insert(&k, frag(&[1, 2, 3, 4]))
                     })
                 })
                 .collect();
@@ -355,7 +345,7 @@ mod tests {
         });
         let rows = |f: &Fragment| {
             let mut out = Vec::new();
-            f.batches.iter().for_each(|b| b.to_rows(&mut out));
+            f.scan.batches.iter().for_each(|b| b.to_rows(&mut out));
             out
         };
         assert_eq!(rows(&got[0]), rows(&got[1]));

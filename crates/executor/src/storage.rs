@@ -122,7 +122,6 @@ fn build_chunks(rows: &[Row], width: usize, chunk_rows: usize) -> Vec<Arc<Column
 pub struct SegmentedTable {
     pub desc: Arc<TableDesc>,
     chunks: Vec<Vec<Vec<Arc<ColumnChunk>>>>,
-    rows_per_chunk: usize,
 }
 
 impl SegmentedTable {
@@ -187,13 +186,12 @@ impl SegmentedTable {
                 Distribution::Singleton => buckets[0][part].push(row),
             }
         }
-        let rows_per_chunk = chunk_rows.max(1);
         let mut chunks: Vec<Vec<Vec<Arc<ColumnChunk>>>> = buckets
             .iter()
             .map(|parts| {
                 parts
                     .iter()
-                    .map(|rows| build_chunks(rows, width, rows_per_chunk))
+                    .map(|rows| build_chunks(rows, width, chunk_rows))
                     .collect()
             })
             .collect();
@@ -203,16 +201,7 @@ impl SegmentedTable {
             let shared = chunks[0].clone();
             chunks = (0..num_segments).map(|_| shared.clone()).collect();
         }
-        Ok(SegmentedTable {
-            desc,
-            chunks,
-            rows_per_chunk,
-        })
-    }
-
-    /// Rows each chunk was built to hold (the zero-copy scan threshold).
-    pub fn rows_per_chunk(&self) -> usize {
-        self.rows_per_chunk
+        Ok(SegmentedTable { desc, chunks })
     }
 
     /// The chunks of the selected partitions on one segment, in scan
@@ -241,63 +230,6 @@ impl SegmentedTable {
             chunk.data.to_rows(&mut out);
         }
         out
-    }
-
-    /// Rows of the selected partitions on one segment as columnar
-    /// batches of at most `batch_size` rows. When `batch_size` is at
-    /// least the chunk size this is **zero-copy**: each batch aliases a
-    /// chunk's `Arc`-shared column buffers. Smaller batch sizes fall
-    /// back to slicing (reported via the return's second element, in
-    /// logical bytes copied).
-    pub fn scan_columnar(
-        &self,
-        segment: usize,
-        parts: &Option<Vec<usize>>,
-        batch_size: usize,
-    ) -> Vec<ColumnBatch> {
-        let width = self.desc.columns.len();
-        let mut out = Vec::new();
-        self.scan_columnar_into(segment, parts, batch_size, &mut out, || {
-            ColumnBatch::new(width)
-        });
-        out
-    }
-
-    /// [`Self::scan_columnar`] with caller-supplied batch shells (the
-    /// `BatchPool` hook) and byte accounting for the sliced slow path.
-    pub fn scan_columnar_into(
-        &self,
-        segment: usize,
-        parts: &Option<Vec<usize>>,
-        batch_size: usize,
-        out: &mut Vec<ColumnBatch>,
-        mut shell: impl FnMut() -> ColumnBatch,
-    ) -> u64 {
-        let bs = batch_size.max(1);
-        let mut bytes_cloned = 0u64;
-        for chunk in self.part_chunks(segment, parts) {
-            let len = chunk.data.len;
-            if len == 0 {
-                continue;
-            }
-            if bs >= len {
-                // Zero-copy: hand out the chunk's shared buffers.
-                out.push(chunk.data.clone());
-                continue;
-            }
-            let mut start = 0u32;
-            while (start as usize) < len {
-                let end = (start as usize + bs).min(len) as u32;
-                let sel: Vec<u32> = (start..end).collect();
-                let mut b = shell();
-                b.reset(chunk.data.width());
-                b.extend_select(&chunk.data, &sel);
-                bytes_cloned += b.bytes();
-                out.push(b);
-                start = end;
-            }
-        }
-        bytes_cloned
     }
 
     pub fn total_rows(&self) -> usize {
@@ -543,18 +475,6 @@ mod tests {
         assert_eq!(chunks[0].zones[1].max, Some(Datum::Str("c".into())));
         // Round trip through the row view is exact.
         assert_eq!(format!("{:?}", t.scan(0, &None)), format!("{rows:?}"));
-        // Columnar fast path aliases chunk buffers; sliced path agrees.
-        let fast = t.scan_columnar(0, &None, 1024);
-        assert_eq!(fast.len(), 3);
-        let slow = t.scan_columnar(0, &None, 3);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for batch in &fast {
-            batch.to_rows(&mut a);
-        }
-        for batch in &slow {
-            batch.to_rows(&mut b);
-        }
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

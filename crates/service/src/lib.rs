@@ -19,8 +19,9 @@
 //!   heuristic plan, tagged `degraded: true`, instead of an error;
 //! * **a shared scan-fragment cache** ([`orca_executor::FragmentCache`]) —
 //!   one byte-budgeted cache attached to every engine the execute path
-//!   builds, so repeated queries reuse materialized scan fragments
-//!   across requests;
+//!   builds, so repeated queries reuse the *filtered* scans (a Filter
+//!   fused into a TableScan) they share across requests; unfiltered
+//!   scans are zero-copy already and are never cached;
 //! * **executor memory grants** ([`grants`]) — every execute-after-optimize
 //!   request is admitted against a global executor-memory pool sized by
 //!   [`ServiceConfig::executor_memory_bytes`]; the grant (seeded from the
@@ -103,7 +104,9 @@ pub struct ServiceConfig {
     /// Plan-cache byte budget.
     pub cache_bytes: u64,
     /// Byte budget of the shared scan-fragment cache the execute path
-    /// attaches to every engine it builds.
+    /// attaches to every engine it builds. Only filtered scans are kept
+    /// (unfiltered ones leave storage zero-copy); their resident bytes
+    /// also count in `ServiceStats::mem_used_bytes`.
     pub fragment_cache_bytes: u64,
     /// Global executor-memory pool every execution's grant is admitted
     /// against. `0` = unbounded: every request gets its full ask
@@ -1113,31 +1116,50 @@ mod tests {
         assert!(counts.get(&PlanSource::Fresh).copied().unwrap_or(0) >= 1);
     }
 
-    #[test]
-    fn execute_path_shares_scan_fragments_across_requests() {
+    /// A service that runs plans as `execute` says over `t0` and `t1`,
+    /// each holding `rows` rows `(i, 2i)` and row-count stats to match.
+    fn executing_service(p: &Arc<MemoryProvider>, execute: ExecuteConfig, rows: i64) -> Service {
         use orca_common::{Datum, SegmentConfig};
 
-        let p = provider_with_tables(2);
         let cfg = ServiceConfig {
-            execute: Some(ExecuteConfig {
-                parallel: false,
-                columnar: true,
-                ..ExecuteConfig::default()
-            }),
+            execute: Some(execute),
             ..ServiceConfig::default()
         };
         let svc = Service::new(p.clone(), cfg);
-        let s = svc.open_session();
         let mut db = Database::new(SegmentConfig::default());
         for name in ["t0", "t1"] {
-            let desc = p.table(p.table_by_name(name).unwrap()).unwrap();
-            let rows = (0..20i64)
+            let mdid = p.table_by_name(name).unwrap();
+            // With row counts, a filter costs less below the Gather: on
+            // the scan, where the fragment cache sees it.
+            p.set_stats(mdid, orca_catalog::TableStats::new(rows as f64, 2));
+            let rows = (0..rows)
                 .map(|i| vec![Datum::Int(i), Datum::Int(i * 2)])
                 .collect();
-            db.load_table(desc, rows).unwrap();
+            db.load_table(p.table(mdid).unwrap(), rows).unwrap();
         }
         svc.attach_database(Arc::new(db));
-        let q = two_table_query(&p);
+        svc
+    }
+
+    #[test]
+    fn execute_path_shares_scan_fragments_across_requests() {
+        let p = provider_with_tables(2);
+        let serial = ExecuteConfig {
+            parallel: false,
+            columnar: true,
+            ..ExecuteConfig::default()
+        };
+        let svc = executing_service(&p, serial, 20);
+        let s = svc.open_session();
+        // Unfiltered scans are zero-copy already: the join inserts nothing.
+        let join = two_table_query(&p);
+        for _ in 0..2 {
+            svc.submit_query(s, &join, None).unwrap();
+        }
+        let st = svc.stats();
+        assert_eq!(st.fragments_inserted, 0, "unfiltered scans are not cached");
+        assert_eq!((st.fragment_entries, st.fragment_bytes), (0, 0));
+        let q = filter_query(&p, 7);
         let first = svc.submit_query(s, &q, None).unwrap();
         let second = svc.submit_query(s, &q, None).unwrap();
         let (a, b) = (
@@ -1145,12 +1167,75 @@ mod tests {
             second.response.execution.expect("executed"),
         );
         assert_eq!(a.rows, b.rows, "shared fragments must not change results");
+        assert_eq!(a.rows.len(), 1);
         let st = svc.stats();
         assert!(st.fragments_inserted > 0, "first run must materialize");
         assert!(st.fragments_reused > 0, "second run must reuse");
         assert!(st.fragment_bytes > 0);
         assert_eq!(st.fragment_entries, st.fragments_inserted);
         assert_eq!(st.fragment_evictions, 0);
+    }
+
+    /// A sink that takes one batch, then closes the stream.
+    struct FirstBatchSink {
+        rows: usize,
+    }
+
+    impl StreamSink for FirstBatchSink {
+        fn on_plan(&mut self, _: &PlanHeader<'_>) -> Result<()> {
+            Ok(())
+        }
+
+        fn on_rows(&mut self, rows: &[Row]) -> Result<bool> {
+            self.rows += rows.len();
+            Ok(false)
+        }
+    }
+
+    /// Every execution hands its operator state back: after a serial, a
+    /// parallel and an early-closed streamed run on one service, the
+    /// executor-memory counter holds exactly the resident fragments.
+    #[test]
+    fn executions_return_all_memory_but_resident_fragments() {
+        let p = provider_with_tables(2);
+        let serial = ExecuteConfig {
+            parallel: false,
+            batch_rows: 4,
+            ..ExecuteConfig::default()
+        };
+        let mut svc = executing_service(&p, serial.clone(), 200);
+        let s = svc.open_session();
+        let settled = |svc: &Service, what: &str| {
+            let st = svc.stats();
+            assert_eq!(st.mem_used_bytes, st.fragment_bytes, "after the {what} run");
+        };
+        let serial_rows = svc.submit_query(s, &filter_query(&p, 7), None).unwrap();
+        assert_eq!(serial_rows.response.execution.unwrap().rows.len(), 1);
+        assert!(
+            svc.stats().fragment_bytes > 0,
+            "the filtered scan is cached"
+        );
+        settled(&svc, "serial");
+
+        svc.config.execute = Some(ExecuteConfig {
+            parallel: true,
+            workers: 2,
+            ..serial.clone()
+        });
+        let par = svc.submit_query(s, &filter_query(&p, 9), None).unwrap();
+        let par = par.response.execution.unwrap();
+        assert!(par.parallel.is_some(), "the gang ran");
+        assert_eq!(par.rows.len(), 1);
+        settled(&svc, "parallel");
+
+        svc.config.execute = Some(serial);
+        let dxl = orca_dxl::query_to_dxl(&two_table_query(&p));
+        let mut sink = FirstBatchSink { rows: 0 };
+        let streamed = svc.submit_streaming(s, &dxl, None, &mut sink).unwrap();
+        let streamed = streamed.response.execution.unwrap();
+        assert!(streamed.streamed, "more batches followed the first");
+        assert_eq!(sink.rows, 4, "the sink closed after one batch");
+        settled(&svc, "streamed");
     }
 
     #[test]

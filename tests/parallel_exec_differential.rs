@@ -12,7 +12,9 @@ use orca_catalog::{ColumnMeta, Distribution, MemoryProvider, TableStats};
 use orca_common::{ColId, CteId, DataType, Datum, SegmentConfig};
 use orca_executor::engine::sort_rows;
 use orca_executor::reference::run_reference;
-use orca_executor::{Database, ExecEngine, ParallelConfig, ParallelEngine};
+use orca_executor::{
+    Database, ExecEngine, ExecStats, FragmentCache, ParallelConfig, ParallelEngine,
+};
 use orca_expr::logical::{AggStage, JoinKind, LogicalExpr, LogicalOp, TableRef};
 use orca_expr::physical::{MotionKind, PhysicalOp, PhysicalPlan};
 use orca_expr::props::OrderSpec;
@@ -667,7 +669,7 @@ fn zone_scan_plan(pred: ScalarExpr) -> PhysicalPlan {
     )
 }
 
-/// One randomly generated prunable conjunct.
+/// One randomly generated conjunct: zone-testable, except `Cols`.
 #[derive(Debug, Clone)]
 enum ZConj {
     /// `z0 <op> lit` — op index into {Lt, Le, Gt, Ge, Eq}.
@@ -678,12 +680,17 @@ enum ZConj {
     C2In(Vec<usize>),
     /// `z1 IS NULL` / `NOT (z1 IS NULL)`.
     NullC1(bool),
+    /// `z0 <op> z1`: a column-to-column compare no zone map can decide,
+    /// so an AND holding it prunes nothing and evaluates every chunk.
+    Cols(u8),
 }
+
+const ZOPS: [CmpOp; 5] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq];
 
 fn zconj_expr(c: &ZConj) -> ScalarExpr {
     match c {
         ZConj::C0(o, v) => ScalarExpr::cmp(
-            [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq][(*o as usize) % 5],
+            ZOPS[(*o as usize) % 5],
             ScalarExpr::col(Z0),
             ScalarExpr::int(*v),
         ),
@@ -707,7 +714,19 @@ fn zconj_expr(c: &ZConj) -> ScalarExpr {
                 e
             }
         }
+        ZConj::Cols(o) => ScalarExpr::cmp(
+            ZOPS[(*o as usize) % 5],
+            ScalarExpr::col(Z0),
+            ScalarExpr::col(Z1),
+        ),
     }
+}
+
+/// Every counter of a run but the per-operator wall times.
+fn counters(stats: &ExecStats) -> String {
+    let mut stats = stats.clone();
+    stats.ops.values_mut().for_each(|p| p.ns = 0);
+    format!("{stats:?}")
 }
 
 fn zconj_strategy() -> impl Strategy<Value = Vec<ZConj>> {
@@ -717,6 +736,7 @@ fn zconj_strategy() -> impl Strategy<Value = Vec<ZConj>> {
             (0usize..13).prop_map(ZConj::C2Eq),
             prop::collection::vec(0usize..13, 1..4).prop_map(ZConj::C2In),
             any::<bool>().prop_map(ZConj::NullC1),
+            (0u8..5).prop_map(ZConj::Cols),
         ],
         1..4,
     )
@@ -728,18 +748,21 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Zone-pruned scans ≡ unpruned: for random prunable predicates over
-    /// the chunked fixture, the fused columnar scan (batch sizes 1, 7,
-    /// 1024 — below and above the 16-row chunk size) and the parallel
-    /// engine at 1/2/4 workers all reproduce the row-serial oracle byte
-    /// for byte, with a bit-equal simulated clock.
+    /// Zone-pruned scans ≡ unpruned: for random predicates over the
+    /// chunked fixture, the fused columnar scan (batch sizes 1, 7, 1024 —
+    /// below and above the 16-row chunk size), the same scan through a
+    /// fragment cache (a miss, then a hit) and the parallel engine at
+    /// 1/2/4 workers all reproduce the row-serial oracle byte for byte,
+    /// with a bit-equal simulated clock and the scan's work counted alike.
     #[test]
     fn zone_pruned_scan_equals_unpruned(conjs in zconj_strategy()) {
         let (db, _) = zone_fixture();
         let plan = zone_scan_plan(ScalarExpr::and(conjs.iter().map(zconj_expr).collect()));
+        let bare_scan = plan.children[0].clone();
         let output = vec![Z0, Z1, Z2];
         let serial = ExecEngine::new(db).run(&plan, &output).expect("row serial");
         prop_assert_eq!(serial.stats.chunks_skipped, 0, "row kernel never skips");
+        let fragments = Arc::new(FragmentCache::new(1 << 20));
         for batch_size in [1usize, 7, 1024] {
             let mut db2 = db.clone();
             db2.cluster.batch_size = batch_size;
@@ -755,7 +778,37 @@ proptest! {
                 "simulated clock diverged at batch_size={} for {:?}",
                 batch_size, conjs
             );
+            prop_assert_eq!(col.stats.rows_processed, serial.stats.rows_processed);
+            let scan = &col.stats.ops["TableScan"];
+            prop_assert_eq!(scan.rows, serial.stats.ops["TableScan"].rows);
+            // The row kernel counts one batch per non-empty segment, so
+            // the fused scan's batches are held to the columnar kernel's
+            // own unfiltered scan of the table.
+            let bare = ExecEngine::new(&db2).run_columnar(&bare_scan, &output).expect("bare");
+            prop_assert_eq!(scan.batches, bare.stats.ops["TableScan"].batches);
+            // Through a fragment cache: a miss, then a hit. Both match the
+            // uncached run, except that the hit copies no bytes.
+            let cached = ExecEngine::new(&db2).with_fragments(Arc::clone(&fragments));
+            for pass in ["miss", "hit"] {
+                let mut run = cached.run_columnar(&plan, &output).expect("cached columnar");
+                prop_assert_eq!(&run.rows, &col.rows, "{} at batch_size={}", pass, batch_size);
+                prop_assert_eq!(run.sim_seconds.to_bits(), col.sim_seconds.to_bits());
+                if pass == "hit" {
+                    prop_assert_eq!(run.stats.scan_bytes_cloned, 0);
+                    run.stats.scan_bytes_cloned = col.stats.scan_bytes_cloned;
+                }
+                prop_assert_eq!(
+                    counters(&run.stats),
+                    counters(&col.stats),
+                    "{} at batch_size={} for {:?}",
+                    pass, batch_size, conjs
+                );
+            }
         }
+        // One fragment per segment and batch size, built once, reused once.
+        let shared = fragments.stats();
+        let built = 3 * SEGMENTS as u64;
+        prop_assert_eq!((shared.inserted, shared.reused), (built, built));
         for workers in [1usize, 2, 4] {
             let engine = ParallelEngine::with_config(db, ParallelConfig {
                 workers,
